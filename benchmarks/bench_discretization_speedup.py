@@ -4,10 +4,11 @@ The paper accelerates ensemble discretization two ways: prefix-sum FastPAA
 (Algorithm 2) and the merged-breakpoint symbol matrix that yields all
 alphabet resolutions from one binary search. This bench measures the end
 effect: producing the numerosity-reduced token sequences for the full
-(w, a) grid via the shared MultiResolutionDiscretizer — whose PAA and
-interval matrices come from one :class:`repro.sax.plan.DiscretizationPlan`
-sweep through the ``REPRO_KERNEL`` seam — versus discretizing from scratch
-per combination.
+(w, a) grid the way ensemble members do — one
+:class:`repro.sax.plan.DiscretizationPlan` sweep through the
+``REPRO_KERNEL`` seam (PAA and interval matrices once per ``w``), then
+:func:`repro.sax.numerosity.reduce_symbol_rows` per member against one
+shared interner — versus discretizing from scratch per combination.
 
 Shape check: the shared path is substantially faster than the naive path
 (the asymptotic claim is O(w_max^2 log a_max) vs O(n w_max a_max + ...)).
@@ -16,10 +17,12 @@ Shape check: the shared path is substantially faster than the naive path
 from __future__ import annotations
 
 from benchlib import scale_note
-from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.generators import synthetic_ecg
 from repro.evaluation.tables import format_table
-from repro.sax.numerosity import numerosity_reduction
+from repro.sax.alphabet import WordInterner
+from repro.sax.numerosity import numerosity_reduction, reduce_symbol_rows
+from repro.sax.paa import CumulativeStats
+from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize
 from repro.utils.timing import Timer
 
@@ -40,10 +43,12 @@ def _naive(series) -> float:
 
 def _shared(series) -> float:
     with Timer() as timer:
-        discretizer = MultiResolutionDiscretizer(series, WINDOW, WMAX, AMAX)
+        plan = DiscretizationPlan(WINDOW, None, max_alphabet_size=AMAX)
+        sweep = plan.sweep_series(CumulativeStats(series))
+        interner = WordInterner()
         for w in range(2, WMAX + 1):
             for a in range(2, AMAX + 1):
-                discretizer.tokens(w, a)
+                reduce_symbol_rows(sweep.symbol_rows(w, a), interner)
     return timer.elapsed
 
 

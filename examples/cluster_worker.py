@@ -62,7 +62,8 @@ def main() -> None:
 
     # Fleet mode: spawn_workers=0 — the scheduler waits for workers we
     # bring up ourselves through the CLI, like a real multi-host fleet.
-    with ClusterExecutor(2, spawn_workers=0, worker_wait=120.0) as executor:
+    # min_workers=2: the first dispatch waits for both, not just the first.
+    with ClusterExecutor(2, spawn_workers=0, min_workers=2, worker_wait=120.0) as executor:
         host, port = executor.start(wait=False)
         print(f"scheduler listening on {host}:{port}")
         workers = [start_worker(host, port) for _ in range(2)]

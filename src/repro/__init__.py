@@ -41,7 +41,6 @@ from repro.core import (
     EnsembleReport,
     GrammarAnomalyDetector,
     MemberExecutor,
-    MultiResolutionDiscretizer,
     ProcessExecutor,
     SerialExecutor,
     StreamingEnsembleDetector,
@@ -74,7 +73,6 @@ __all__ = [
     "GrammarAnomalyDetector",
     "HotSaxDetector",
     "MemberExecutor",
-    "MultiResolutionDiscretizer",
     "ProcessExecutor",
     "RRADetector",
     "SerialExecutor",

@@ -5,8 +5,6 @@ its ensemble variant (Sections 5–6).
   density curve, and the detector protocol shared by all methods.
 - :mod:`repro.core.detector` — single-run grammar-induction detector
   (discretize → Sequitur → rule density → rank minima).
-- :mod:`repro.core.multiresolution` — shared-prefix-sum multi-resolution
-  discretizer (Section 6.2) that the ensemble's members reuse.
 - :mod:`repro.core.selection` — std-based member filtering and max
   normalization (Sections 6.1.1–6.1.2).
 - :mod:`repro.core.combiners` — median/mean/max point-wise combination
@@ -18,7 +16,7 @@ its ensemble variant (Sections 5–6).
   pools.
 - :mod:`repro.core.cluster` — the cross-machine backends behind the same
   interface: the stdlib TCP cluster executor (scheduler + ``repro worker``
-  fleet) and the import-guarded dask adapter.
+  fleet).
 - :mod:`repro.core.engine` — the execution engine: shared stream state for
   streaming ensembles, executor-driven member execution, and the
   :func:`~repro.core.engine.detect_batch` /
@@ -37,7 +35,7 @@ from repro.core.engine import (
     detect_many,
     iter_detect_batch,
 )
-from repro.core.cluster import ClusterExecutor, DaskExecutor
+from repro.core.cluster import ClusterExecutor
 from repro.core.ensemble import EnsembleGrammarDetector, EnsembleReport, combine_and_detect
 from repro.core.executors import (
     EXECUTOR_KINDS,
@@ -49,7 +47,6 @@ from repro.core.executors import (
     as_executor,
     make_executor,
 )
-from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.core.selection import normalize_curve, select_by_std
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 
@@ -58,7 +55,6 @@ __all__ = [
     "AnomalyDetector",
     "BatchItemError",
     "ClusterExecutor",
-    "DaskExecutor",
     "EVICTION_POLICIES",
     "EXECUTOR_KINDS",
     "EXECUTOR_SPECS",
@@ -66,7 +62,6 @@ __all__ = [
     "EnsembleReport",
     "GrammarAnomalyDetector",
     "MemberExecutor",
-    "MultiResolutionDiscretizer",
     "ProcessExecutor",
     "SerialExecutor",
     "SharedStreamState",

@@ -60,10 +60,6 @@ Deployment shapes
   and waits for externally started workers (any host). The CLI spells it
   ``--executor cluster --scheduler 0.0.0.0:9123``; see
   ``docs/deployment.md`` for the run-book.
-- **Dask:** :class:`DaskExecutor` adapts a ``dask.distributed`` cluster to
-  the same interface. It is import-guarded: constructing it without the
-  ``distributed`` package installed raises a clear error, and nothing in
-  this module requires dask at import time.
 """
 
 from __future__ import annotations
@@ -99,7 +95,6 @@ __all__ = [
     "ClusterExecutor",
     "ClusterSeriesRef",
     "ClusterWorkerLost",
-    "DaskExecutor",
     "parse_address",
     "run_worker",
 ]
@@ -116,6 +111,12 @@ AUTHKEY_ENV = "REPRO_CLUSTER_AUTHKEY"
 #: replying ``idle`` (seconds). Small enough that a worker-loss check runs
 #: regularly; large enough that dispatch latency is dominated by the task.
 _LEASE_WAIT = 0.25
+
+#: Least time :meth:`ClusterExecutor.start` gives workers it spawned itself
+#: to connect (seconds): a cold interpreter start plus the library import,
+#: which takes over a second, however short ``worker_wait`` — the mid-run
+#: grace period — is set.
+_SPAWN_WAIT = 30.0
 
 #: How long a worker sleeps after an ``idle`` reply before polling again.
 _IDLE_DELAY = 0.02
@@ -704,9 +705,11 @@ class ClusterExecutor(MemberExecutor):
         Shared connection-authentication secret. Defaults to
         ``$REPRO_CLUSTER_AUTHKEY``, falling back to a development constant.
     min_workers:
-        Workers that must be connected before the first dispatch returns
-        from :meth:`start` waiting; also the readiness bar for lazy first
-        use.
+        Workers that must be connected before :meth:`start` with
+        ``wait=True`` returns; also the readiness bar for lazy first use.
+        The bar is never below ``spawn_workers``: a self-contained
+        executor is ready once every worker it spawned has connected, so
+        the fleet it reports does not depend on which worker won the race.
     worker_wait:
         Seconds to wait for ``min_workers`` at startup, and the grace
         period before queued work fails when the pool is empty mid-run.
@@ -742,7 +745,7 @@ class ClusterExecutor(MemberExecutor):
         if spawn_workers is None:
             spawn_workers = self._max_workers if bind is None else 0
         self._spawn_workers = int(spawn_workers)
-        self._min_workers = max(0, int(min_workers))
+        self._min_workers = max(0, int(min_workers), self._spawn_workers)
         self._worker_wait = float(worker_wait)
         self._state = _SchedulerState(
             lease_timeout=lease_timeout,
@@ -773,8 +776,10 @@ class ClusterExecutor(MemberExecutor):
         """Bind the listener, spawn any local workers; returns the address.
 
         Idempotent. With ``wait=True`` blocks until ``min_workers`` workers
-        have connected (raising :class:`ClusterError` after
-        ``worker_wait`` seconds) — what the first dispatch does implicitly.
+        (and at least every spawned worker) have connected, raising
+        :class:`ClusterError` after ``worker_wait`` seconds (at least
+        ``_SPAWN_WAIT`` when this executor spawned workers) — what the first
+        dispatch does implicitly.
         """
         with self._lifecycle_lock:
             self._check_open()
@@ -793,7 +798,10 @@ class ClusterExecutor(MemberExecutor):
                 for _ in range(self._spawn_workers):
                     self._spawned.append(self._spawn_local_worker())
         if wait and self._min_workers:
-            self._state.wait_for_workers(self._min_workers, self._worker_wait)
+            timeout = self._worker_wait
+            if self._spawn_workers:
+                timeout = max(timeout, _SPAWN_WAIT)
+            self._state.wait_for_workers(self._min_workers, timeout)
         return self._address
 
     def _spawn_local_worker(self) -> subprocess.Popen:
@@ -1171,87 +1179,3 @@ def run_worker(
         except OSError:  # pragma: no cover
             pass
     return 0
-
-
-# ----------------------------------------------------------------------
-# Dask adapter (import-guarded; stubbed when the dependency is absent).
-# ----------------------------------------------------------------------
-
-_DASK_HINT = (
-    "the dask executor requires the 'distributed' package "
-    "(pip install distributed); the stdlib TCP backend "
-    "(--executor cluster) has no extra dependencies"
-)
-
-
-class DaskExecutor(MemberExecutor):
-    """Adapt a ``dask.distributed`` cluster to the ``MemberExecutor`` interface.
-
-    Construction connects a ``distributed.Client`` to ``address`` (or a
-    temporary ``LocalCluster`` when ``address`` is ``None``). The class is
-    import-guarded: when the ``distributed`` package is not installed,
-    instantiating it raises :class:`ClusterError` with an install hint, and
-    importing this module stays dependency-free. Series are passed inline
-    (dask's own serialization layer already deduplicates scattered data).
-    """
-
-    kind = "dask"
-
-    def __init__(self, address: str | None = None, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        try:
-            from distributed import Client
-        except ImportError as error:
-            raise ClusterError(_DASK_HINT) from error
-        self._client = Client(address) if address else Client(
-            n_workers=self._max_workers, threads_per_worker=1
-        )
-
-    def close(self) -> None:
-        """Disconnect the dask client (idempotent)."""
-        if not self._closed:
-            self._client.close()
-        super().close()
-
-    def map(self, fn, payloads):
-        """Run ``fn`` over ``payloads`` on the dask cluster, in order."""
-        self._check_open()
-        futures = self._client.map(fn, list(payloads), pure=False)
-        return self._client.gather(futures)
-
-    def imap_unordered(self, fn, payloads, *, return_exceptions: bool = False):
-        """Yield ``(index, result)`` pairs as dask futures complete.
-
-        Honours the interface's abandonment contract: closing the iterator
-        early cancels futures that have not completed and waits out the
-        ones already running before returning.
-        """
-        self._check_open()
-        from distributed import as_completed
-        from distributed import wait as dask_wait
-
-        futures = self._client.map(fn, list(payloads), pure=False)
-        index_of = {future: index for index, future in enumerate(futures)}
-
-        def _drain():
-            pending = set(futures)
-            try:
-                for future in as_completed(futures):
-                    pending.discard(future)
-                    error = future.exception()
-                    if error is None:
-                        yield index_of[future], future.result()
-                    elif return_exceptions:
-                        yield index_of[future], error
-                    else:
-                        raise error
-            finally:
-                if pending:
-                    for future in pending:
-                        future.cancel()
-                    try:
-                        dask_wait(list(pending))
-                    except Exception:  # pragma: no cover — cancelled futures
-                        pass
-
-        return _drain()

@@ -10,14 +10,21 @@ the layer that makes the library production-shaped on both axes:
   stream. Appends are amortized O(1) via capacity doubling, and the prefix
   sums are extended with the exact left-associated accumulation order of
   ``np.cumsum`` so streaming results stay bitwise equal to the batch path.
-- :func:`compute_member_curves` — the ensemble's member fan-out. Serially it
-  shares one :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
-  across all members (Section 6.2); with an executor (or ``n_jobs > 1``)
-  members are grouped by PAA size ``w`` and the groups are spread over the
-  executor's workers, each sharing the per-``w`` interval matrix among its
-  members. Series reach process workers through shared memory, not pickling
-  (see :mod:`repro.core.executors`). All paths run the same floating-point
-  operations, so results are bitwise identical.
+- :func:`member_density_curve` — the one member pipeline of Algorithm 1:
+  numerosity-kept token ids go into a grammar builder from
+  :func:`repro.grammar._kernel.make_builder` (any kernel, the python oracle
+  included), and its occurrence spans become the member's rule density
+  curve. Batch members and streaming snapshots in process workers run it
+  as is; in-process streaming members keep live builders from the same
+  seam and share its last step.
+- :func:`compute_member_curves` — the ensemble's member fan-out. Serially
+  every member reads one :class:`~repro.sax.plan.DiscretizationSweep` of
+  the series (Section 6.2) and one word interner; with an executor (or
+  ``n_jobs > 1``) members are grouped by PAA size ``w`` and the groups are
+  spread over the executor's workers, each sharing the per-``w`` interval
+  matrix among its members. Series reach process workers through shared
+  memory, not pickling (see :mod:`repro.core.executors`). All paths run the
+  same floating-point operations, so results are bitwise identical.
 - :func:`detect_batch` / :func:`iter_detect_batch` — the serving shape for
   high-traffic workloads: fan out many *independent* series across an
   executor, each handled by an identically-configured detector clone with a
@@ -63,15 +70,16 @@ from repro.core.executors import (  # noqa: F401 — re-exported engine API
     share_series_batch,
     validate_executor_spec,
 )
-from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar import _kernel
-from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
-from repro.grammar.sequitur import induce_grammar
+from repro.grammar.density import density_curve_from_token_spans
 from repro.obs.stages import stage_timer
-from repro.sax.paa import sliding_paa_rows
+from repro.sax.alphabet import WordInterner
+from repro.sax.numerosity import reduce_symbol_rows
+from repro.sax.paa import CumulativeStats, sliding_paa_rows
+from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import validate_paa_size, validate_window
+from repro.utils.validation import ensure_time_series, validate_paa_size, validate_window
 
 #: Initial allocation of a fresh stream buffer (doubles on demand).
 _INITIAL_CAPACITY = 1024
@@ -536,67 +544,82 @@ class SharedStreamState:
 # ----------------------------------------------------------------------
 
 
-def _member_curve(
-    discretizer: MultiResolutionDiscretizer,
-    paa_size: int,
-    alphabet_size: int,
-    series_length: int,
+def member_density_curve(
+    ids: Sequence[int],
+    offsets: np.ndarray,
+    window: int,
+    length: int,
+    *,
+    kernel: str | None = None,
+    vocabulary: Sequence[str] | None = None,
+    horizon_start: int = 0,
 ) -> np.ndarray:
-    """Density curve of one ensemble member, kernel-fused when possible.
+    """The one member pipeline: token ids → grammar → spans → density curve.
 
-    Under an id-based grammar kernel (``REPRO_KERNEL`` fast/compiled) with
-    exact numerosity, the member runs entirely on integers: interned token
-    ids feed the kernel builder, occurrence spans come out as arrays, and
-    the curve is accumulated without materializing a :class:`Grammar`,
-    occurrence objects, or per-rule interval lists. The python kernel (and
-    the ``"none"`` strategy) takes the reference word/Grammar path. Both
-    paths are bitwise identical — the kernel-equivalence suite pins the
-    grammars, and integer scatter-adds commute.
+    Every ensemble member ends here — batch members, and streaming member
+    snapshots shipped to process workers (in-process streaming members
+    keep live builders from the same :func:`~repro.grammar._kernel.make_builder`
+    and share the last step). ``ids``/``offsets`` are the numerosity-kept
+    tokens (:func:`~repro.sax.numerosity.reduce_symbol_rows`), ``vocabulary``
+    maps ids to words for the python oracle, and ``horizon_start`` is the
+    stream index of curve point 0.
     """
-    kernel = _kernel.current_kernel()
-    if kernel == "python" or discretizer.numerosity != "exact":
-        # The discretizer fires the paa/discretize stage timers itself (the
-        # shared sweep times matrix formation and breakpoint search).
-        tokens = discretizer.tokens(paa_size, alphabet_size)
-        with stage_timer("grammar"):
-            grammar = induce_grammar(tokens.words)
-        with stage_timer("density"):
-            return rule_density_curve(grammar, tokens, series_length)
-    token_ids = discretizer.token_ids(paa_size, alphabet_size)
-    if not len(token_ids):
-        raise ValueError("cannot induce a grammar from an empty token sequence")
     with stage_timer("grammar"):
-        builder = _kernel.make_builder(kernel)
-        builder.feed_many(token_ids.ids)
+        builder = _kernel.make_builder(kernel, vocabulary)
+        builder.feed_many(ids)
         firsts, lasts = builder.occurrence_spans()
     with stage_timer("density"):
         return density_curve_from_token_spans(
-            token_ids.offsets, token_ids.window, firsts, lasts, series_length
+            offsets, window, firsts, lasts, length, horizon_start=horizon_start
         )
+
+
+def _member_curves(
+    series: np.ndarray,
+    window: int,
+    items: Sequence[tuple[int, tuple[int, int]]],
+    max_alphabet_size: int,
+    znorm_threshold: float,
+    numerosity: str,
+) -> list[tuple[int, np.ndarray]]:
+    """``(index, curve)`` of each ``(index, (w, a))`` member over one sweep.
+
+    The members share one discretization sweep of ``series`` (prefix
+    statistics once, PAA and interval matrices once per ``w``) and one
+    word interner, fed in ``(w, a)`` order.
+    """
+    plan = DiscretizationPlan(
+        window,
+        [pair for _, pair in items],
+        znorm_threshold=znorm_threshold,
+        max_alphabet_size=max_alphabet_size,
+    )
+    sweep = plan.sweep_series(CumulativeStats(series))
+    interner = WordInterner()
+    kernel = _kernel.current_kernel()
+    results: list[tuple[int, np.ndarray]] = []
+    for index, (paa_size, alphabet_size) in sorted(items, key=lambda item: item[1]):
+        # The sweep times paa and discretize itself, once per w; the symbol
+        # lookup and reduction below are this member's discretize share.
+        intervals = sweep.interval_rows(paa_size)
+        with stage_timer("discretize"):
+            symbols = plan.alphabet_table.symbols_for(intervals, alphabet_size)
+            kept, ids = reduce_symbol_rows(symbols, interner, numerosity)
+        curve = member_density_curve(
+            ids, kept, window, len(series), kernel=kernel, vocabulary=interner
+        )
+        results.append((index, curve))
+    return results
 
 
 def _member_curves_task(payload) -> list[tuple[int, np.ndarray]]:
     """Worker: density curves of one ``w``-group of ensemble members.
 
-    Builds a discretizer local to the worker; members in the group share its
-    per-``w`` interval matrix exactly as the serial path does. The series
-    arrives as an executor series reference (shared memory under the process
-    backend).
+    The series arrives as an executor series reference (shared memory
+    under the process backend); the group runs exactly as the serial path.
     """
-    series_ref, window, max_paa, max_alphabet, znorm_threshold, numerosity, items = payload
-    series = resolve_series(series_ref)
-    discretizer = MultiResolutionDiscretizer(
-        series,
-        window,
-        max_paa,
-        max_alphabet,
-        znorm_threshold=znorm_threshold,
-        numerosity=numerosity,
-    )
-    results: list[tuple[int, np.ndarray]] = []
-    for index, (paa_size, alphabet_size) in items:
-        results.append((index, _member_curve(discretizer, paa_size, alphabet_size, len(series))))
-    return results
+    series_ref, window, items, *config = payload
+    return _member_curves(resolve_series(series_ref), window, items, *config)
 
 
 def compute_member_curves(
@@ -614,56 +637,42 @@ def compute_member_curves(
     """Rule density curves of every ensemble member, in sample order.
 
     Serially (``n_jobs=1``, no executor) all members share one
-    :class:`MultiResolutionDiscretizer`. With an executor — or ``n_jobs >
-    1``, which creates a temporary process pool for the call — the members
-    are grouped by PAA size ``w`` and the groups run across the executor's
-    workers; under the process backend the series crosses into workers
-    through one shared-memory segment instead of a pickled copy per group.
+    discretization sweep and one word interner. With an executor — or
+    ``n_jobs > 1``, which creates a temporary process pool for the call —
+    the members are grouped by PAA size ``w`` and the groups run across the
+    executor's workers; under the process backend the series crosses into
+    workers through one shared-memory segment instead of a pickled copy per
+    group.
     Member curves are deterministic functions of ``(series, window, w, a)``,
     so every path produces bitwise-identical results.
     """
     n_jobs = _resolve_n_jobs(n_jobs)
-    curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
+    series = ensure_time_series(series, name="series", min_length=2)
+    window = validate_window(window, len(series))
+    largest = max((w for w, _ in parameters), default=2)
+    if largest > validate_paa_size(max_paa_size, window):
+        raise ValueError(f"paa_size={largest} exceeds the declared max_paa_size={max_paa_size}")
+    items = list(enumerate(parameters))
+    config = (int(max_alphabet_size), float(znorm_threshold), numerosity)
     pool, owned = _resolve_executor(executor, n_jobs, len(parameters))
     if pool is None:
-        discretizer = MultiResolutionDiscretizer(
-            series,
-            window,
-            max_paa_size,
-            max_alphabet_size,
-            znorm_threshold=znorm_threshold,
-            numerosity=numerosity,
-        )
-        # Grouped by w so the interval matrix is built once per w, but
-        # reported in *sample order* — a uniform random prefix of the sample
-        # is itself a uniform sample, which the size-sweep benches rely on.
-        by_w = sorted(range(len(parameters)), key=lambda i: parameters[i])
-        for index in by_w:
-            paa_size, alphabet_size = parameters[index]
-            curves[index] = _member_curve(discretizer, paa_size, alphabet_size, len(series))
-        return curves
-    groups: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for index, (paa_size, alphabet_size) in enumerate(parameters):
-        groups.setdefault(paa_size, []).append((index, (paa_size, alphabet_size)))
-    with ExitStack() as stack:
-        if owned:
-            stack.callback(pool.close)
-        handle = stack.enter_context(pool.share_series(series))
-        payloads = [
-            (
-                handle.ref,
-                int(window),
-                int(max_paa_size),
-                int(max_alphabet_size),
-                float(znorm_threshold),
-                numerosity,
-                items,
-            )
-            for _, items in sorted(groups.items())
-        ]
-        for group_result in pool.map(_member_curves_task, payloads):
-            for index, curve in group_result:
-                curves[index] = curve
+        results = [_member_curves(series, window, items, *config)]
+    else:
+        by_w: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+        for item in items:
+            by_w.setdefault(item[1][0], []).append(item)
+        with ExitStack() as stack:
+            if owned:
+                stack.callback(pool.close)
+            handle = stack.enter_context(pool.share_series(series))
+            payloads = [(handle.ref, window, group, *config) for _, group in sorted(by_w.items())]
+            results = pool.map(_member_curves_task, payloads)
+    # Reported in *sample order* — a uniform random prefix of the sample is
+    # itself a uniform sample, which the size-sweep benches rely on.
+    curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
+    for group in results:
+        for index, curve in group:
+            curves[index] = curve
     return curves
 
 

@@ -3,18 +3,24 @@
 Instead of committing to one ``(w, a)``, the ensemble:
 
 1. samples ``N`` distinct ``(w, a)`` combinations uniformly from
-   ``[2, wmax] x [2, amax]`` ("any w, a combination is used only once");
-2. computes one rule density curve per member — via the shared
-   :class:`repro.core.multiresolution.MultiResolutionDiscretizer`, which is
-   backed by a :class:`repro.sax.plan.DiscretizationPlan`: prefix statistics
-   are built once per series and the expensive PAA/binary-search work runs
-   once per distinct ``w`` through the ``REPRO_KERNEL`` seam
-   (:mod:`repro.sax._kernel`);
+   ``[2, wmax] x [2, amax]`` ("any w, a combination is used only once") —
+   :func:`sample_parameters`;
+2. computes one rule density curve per member through the one member
+   pipeline of :mod:`repro.core.engine`: every member reads a shared
+   :class:`repro.sax.plan.DiscretizationSweep` of the series (prefix
+   statistics once per series, the expensive PAA/binary-search work once
+   per distinct ``w``, Section 6.2), reduces and interns its symbol rows
+   (:func:`repro.sax.numerosity.reduce_symbol_rows`) and feeds the ids to a
+   grammar builder from the kernel seam (:mod:`repro.grammar._kernel`);
 3. discards low-quality members: curves are ranked by standard deviation and
    only the top ``tau`` fraction kept (Section 6.1.1);
 4. normalizes each survivor by its maximum — *not* min–max, so zero density
    stays zero (Section 6.1.2);
 5. combines the survivors point-wise with the median (Section 6.1.3).
+
+Steps 3–5 are :func:`combine_members`. The batch detector here and the
+streaming ensemble (:mod:`repro.core.streaming`) both call these two
+functions, so the sampling and the combine step exist once.
 
 Anomalies are then ranked exactly as in the single-run detector: top-k
 non-overlapping minima of the windowed mean of the ensemble curve.
@@ -40,6 +46,51 @@ from repro.utils.validation import (
     validate_paa_size,
     validate_window,
 )
+
+
+def sample_parameters(
+    rng: np.random.Generator,
+    max_paa_size: int,
+    max_alphabet_size: int,
+    ensemble_size: int,
+) -> list[tuple[int, int]]:
+    """Algorithm 1's sample: ``N`` distinct ``(w, a)`` drawn uniformly.
+
+    Combinations are drawn without replacement from
+    ``[2, wmax] x [2, amax]``; when ``N`` exceeds the pool size, the whole
+    pool is used (shuffled). Advances ``rng`` by one ``choice`` call.
+    """
+    pool = [
+        (w, a) for w in range(2, max_paa_size + 1) for a in range(2, max_alphabet_size + 1)
+    ]
+    count = min(int(ensemble_size), len(pool))
+    chosen = rng.choice(len(pool), size=count, replace=False)
+    return [pool[int(i)] for i in chosen]
+
+
+def combine_members(
+    curves: list[np.ndarray],
+    selectivity: float,
+    combiner: str,
+    *,
+    select_members: bool = True,
+    normalize_members: bool = True,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Algorithm 1's combine step: select by std → max-normalize → combine.
+
+    Returns the ensemble curve and the indices of the kept members (best
+    first). ``select_members``/``normalize_members`` are the ablation
+    switches; both True is the paper's method.
+    """
+    if select_members:
+        kept = tuple(select_by_std(curves, selectivity))
+    else:
+        kept = tuple(range(len(curves)))
+    if normalize_members:
+        survivors = [normalize_curve(curves[i]) for i in kept]
+    else:
+        survivors = [curves[i] for i in kept]
+    return combine_curves(survivors, combiner), kept
 
 
 @dataclass(frozen=True)
@@ -184,19 +235,15 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
     # ------------------------------------------------------------------
 
     def sample_parameters(self, rng: np.random.Generator | None = None) -> list[tuple[int, int]]:
-        """Draw ``N`` distinct ``(w, a)`` combinations uniformly.
+        """Draw ``N`` distinct ``(w, a)`` with :func:`sample_parameters`.
 
-        Combinations are drawn without replacement from
-        ``[2, wmax] x [2, amax]``; when ``N`` exceeds the pool size, the
-        whole pool is used (shuffled).
+        Uses (and advances) the detector's generator unless ``rng`` is
+        given — exactly as one :meth:`detect` call does.
         """
         rng = self._rng if rng is None else rng
-        w_values = np.arange(2, self.max_paa_size + 1)
-        a_values = np.arange(2, self.max_alphabet_size + 1)
-        pool = [(int(w), int(a)) for w in w_values for a in a_values]
-        count = min(self.ensemble_size, len(pool))
-        chosen = rng.choice(len(pool), size=count, replace=False)
-        return [pool[int(i)] for i in chosen]
+        return sample_parameters(
+            rng, self.max_paa_size, self.max_alphabet_size, self.ensemble_size
+        )
 
     def ensemble_report(
         self,
@@ -221,15 +268,13 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         )
         with stage_timer("combine"):
             stds = tuple(curve_std(curve) for curve in curves)
-            if self.select_members:
-                kept = tuple(select_by_std(curves, self.selectivity))
-            else:
-                kept = tuple(range(len(curves)))
-            if self.normalize_members:
-                survivors = [normalize_curve(curves[i]) for i in kept]
-            else:
-                survivors = [curves[i] for i in kept]
-            ensemble_curve = combine_curves(survivors, self.combiner)
+            ensemble_curve, kept = combine_members(
+                curves,
+                self.selectivity,
+                self.combiner,
+                select_members=self.select_members,
+                normalize_members=self.normalize_members,
+            )
         return EnsembleReport(
             curve=ensemble_curve,
             parameters=tuple(parameters),
@@ -357,14 +402,11 @@ def combine_and_detect(
     """
     if not member_curves:
         raise ValueError("member_curves must be non-empty")
-    curves = list(member_curves)
-    if select_members:
-        kept = select_by_std(curves, selectivity)
-    else:
-        kept = list(range(len(curves)))
-    if normalize_members:
-        survivors = [normalize_curve(curves[i]) for i in kept]
-    else:
-        survivors = [curves[i] for i in kept]
-    ensemble_curve = combine_curves(survivors, combiner)
+    ensemble_curve, _ = combine_members(
+        list(member_curves),
+        selectivity,
+        combiner,
+        select_members=select_members,
+        normalize_members=normalize_members,
+    )
     return extract_candidates(ensemble_curve, window, k, minimize=True)

@@ -79,7 +79,7 @@ EXECUTOR_KINDS = ("serial", "thread", "process")
 
 #: Every spec form :func:`as_executor` accepts — the single source of the
 #: CLI help and of "unknown executor" error messages.
-EXECUTOR_SPECS = ("serial", "thread", "process", "cluster[:HOST:PORT]", "dask[:ADDRESS]")
+EXECUTOR_SPECS = ("serial", "thread", "process", "cluster[:HOST:PORT]")
 
 #: Prefix of every shared-memory segment this library creates (leak checks
 #: in the test suite key on it).
@@ -506,8 +506,6 @@ def _check_spec(spec: str) -> None:
 
             parse_address(argument)
         return
-    if base == "dask":
-        return
     raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_SPECS}")
 
 
@@ -520,9 +518,7 @@ def as_executor(spec: str, max_workers: int | None = None) -> MemberExecutor:
     - ``"cluster"`` — a self-contained localhost cluster: bind an ephemeral
       port and spawn ``max_workers`` local worker subprocesses;
     - ``"cluster:HOST:PORT"`` — bind ``HOST:PORT`` and wait for externally
-      started ``python -m repro worker`` processes (fleet mode);
-    - ``"dask"`` / ``"dask:ADDRESS"`` — the dask adapter (requires the
-      ``distributed`` package; raises a clear error without it).
+      started ``python -m repro worker`` processes (fleet mode).
 
     Results are bitwise identical across every backend; the spec only
     chooses where the work runs.
@@ -531,15 +527,11 @@ def as_executor(spec: str, max_workers: int | None = None) -> MemberExecutor:
     base, argument = _split_spec(spec)
     if base in _EXECUTOR_CLASSES:
         return _EXECUTOR_CLASSES[base](max_workers)
-    if base == "cluster":
-        from repro.core.cluster import ClusterExecutor
+    from repro.core.cluster import ClusterExecutor
 
-        if argument is None:
-            return ClusterExecutor(max_workers)
-        return ClusterExecutor(max_workers, bind=argument)
-    from repro.core.cluster import DaskExecutor
-
-    return DaskExecutor(argument, max_workers)
+    if argument is None:
+        return ClusterExecutor(max_workers)
+    return ClusterExecutor(max_workers, bind=argument)
 
 
 def make_executor(kind: str, max_workers: int | None = None) -> MemberExecutor:

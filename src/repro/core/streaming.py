@@ -7,9 +7,13 @@ extends to streams. The streaming path is built on the execution engine
 :class:`~repro.core.engine.SharedStreamState` — a numpy-backed buffer with
 running prefix sums — and ``extend()`` computes all newly completed windows'
 z-normalized PAA rows and SAX symbols in one vectorized pass per distinct
-PAA size, feeding only the numerosity-kept words to each live member.
-Snapshotting at any moment yields the rule density curve over the live
-range of the stream.
+PAA size. Each member then runs the batch members' tokenizer step
+(:func:`repro.sax.numerosity.reduce_symbol_rows`) on its symbol rows and
+keeps the interned ids. Snapshotting at any moment yields the rule density
+curve over the live range of the stream: the member's grammar builder —
+from :func:`repro.grammar._kernel.make_builder`, whatever the kernel —
+gives occurrence spans, and the spans become the curve exactly as in the
+batch member pipeline (:func:`repro.core.engine.member_density_curve`).
 
 :class:`StreamingGrammarDetector` is one such live member;
 :class:`StreamingEnsembleDetector` maintains a fixed parameter bag of
@@ -41,8 +45,8 @@ O(capacity + N·w) regardless of stream length. Two policies:
   generations (:class:`~repro.grammar.sequitur.GenerationalSequitur`), each
   with its own live incremental Sequitur builder; the horizon advances in
   generation steps and expired generations are dropped wholesale, rules
-  retired by refcount. Snapshots reuse the frozen grammars of sealed
-  generations (only the newest generation is re-frozen), at the cost of two
+  retired by refcount. Snapshots reuse the occurrence spans of sealed
+  generations (only the newest generation is re-read), at the cost of two
   relaxed guarantees: retention overshoots the horizon by up to one
   generation, and rules never span a generation boundary.
 
@@ -58,16 +62,16 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.anomaly import Anomaly, extract_candidates
-from repro.core.combiners import COMBINERS, combine_curves
-from repro.core.engine import EVICTION_POLICIES, SharedStreamState
+from repro.core.combiners import COMBINERS
+from repro.core.engine import EVICTION_POLICIES, SharedStreamState, member_density_curve
+from repro.core.ensemble import combine_members, sample_parameters
 from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
-from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
-from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
-from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
+from repro.grammar.density import density_curve_from_token_spans
+from repro.grammar.sequitur import GenerationalSequitur
 from repro.obs.stages import stage_timer
-from repro.sax.alphabet import WordInterner, pack_symbol_rows
-from repro.sax.numerosity import STRATEGIES, TokenSequence, kept_window_mask
+from repro.sax.alphabet import WordInterner
+from repro.sax.numerosity import STRATEGIES, TokenSequence, reduce_symbol_rows
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import RandomState, ensure_rng
@@ -215,8 +219,8 @@ class StreamingGrammarDetector:
         #: across chunk boundaries).
         self._last_symbols: np.ndarray | None = None
         #: Kept tokens as interned ids against :attr:`_interner`'s
-        #: vocabulary — word strings are materialized only at snapshot
-        #: boundaries (frozen grammars, process payloads, ``tokens()``).
+        #: vocabulary — word strings are materialized only when read
+        #: (python-oracle builders, process payloads, ``tokens()``).
         self._interner = WordInterner()
         self._kept_ids: list[int] = []
         self._kept_offsets: list[int] = []
@@ -227,8 +231,9 @@ class StreamingGrammarDetector:
         self._total_kept = 0
         self._total_pruned = 0
         #: Grammar backend, by mode: a live Sequitur builder (unbounded), a
-        #: snapshot-induction cache (sliding), or generation-segmented
-        #: builders dropped wholesale as the horizon passes them (decay).
+        #: span builder over the live ids (sliding, :attr:`_span_builder`),
+        #: or generation-segmented builders dropped wholesale as the
+        #: horizon passes them (decay).
         self._builder = None
         #: How many of :attr:`_kept_ids` the unbounded builder has consumed.
         #: Feeding is deferred to poll time (:meth:`_catch_up_builder`): the
@@ -237,7 +242,6 @@ class StreamingGrammarDetector:
         #: feeding — and ingest-only workloads never pay for it.
         self._builder_fed = 0
         self._generations: GenerationalSequitur | None = None
-        self._snapshot_cache: tuple[tuple[int, int], "object"] | None = None
         #: Sliding fast path: the kernel builder over the live ids, tagged
         #: with the prune counter it was anchored at (see _sliding_spans).
         self._span_builder: tuple[int, "object"] | None = None
@@ -245,15 +249,10 @@ class StreamingGrammarDetector:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
         if self.state.capacity is None:
-            if self._kernel == "python":
-                self._builder = _SequiturBuilder()
-            else:
-                self._builder = _kernel.make_builder(self._kernel)
+            self._builder = _kernel.make_builder(self._kernel, self._interner)
         elif self.state.policy == "decay":
             self._generations = GenerationalSequitur(
-                self.state.generation_size,
-                kernel=self._kernel,
-                vocabulary=self._interner.vocabulary,
+                self.state.generation_size, kernel=self._kernel, vocabulary=self._interner
             )
 
     def __len__(self) -> int:
@@ -296,14 +295,9 @@ class StreamingGrammarDetector:
         not an exact measurement: it is what the serving layer's session
         memory budget accounts against.
         """
-        kept = len(self._kept_ids)
-        total = kept * 72 + self._interner.memory_bytes()
+        total = len(self._kept_ids) * 72 + self._interner.memory_bytes()
         if self._builder is not None:
-            if self._kernel == "python":
-                # ~3 CPython symbol objects per fed token in the oracle.
-                total += self._total_kept * 200
-            else:
-                total += self._builder.memory_bytes()
+            total += self._builder.memory_bytes()
         if self._generations is not None:
             total += self._generations.memory_bytes()
         return total
@@ -319,39 +313,13 @@ class StreamingGrammarDetector:
         """Consume one observation; amortized O(w)."""
         self._require_owned_state()
         self.state.append(value)
-        self._drain()
-        self._evict()
+        _drain(self.state, self._plan, {self.paa_size: [self]})
 
     def extend(self, values) -> None:
         """Consume a batch of observations in one vectorized pass."""
         self._require_owned_state()
         self.state.extend(values)
-        self._drain()
-        self._evict()
-
-    def _drain(self) -> None:
-        """Discretize every completed-but-unseen window and feed the grammar.
-
-        Runs in fixed-size blocks so the transient PAA/symbol matrices stay
-        bounded no matter how large one chunk is; block boundaries are
-        invisible to the result (numerosity reduction carries
-        ``_last_symbols`` across them).
-        """
-        n_windows = self.state.n_windows(self.window)
-        while self._consumed < n_windows:
-            stop = min(self._consumed + _DRAIN_BLOCK, n_windows)
-            # The sweep fires the paa/discretize stage timers internally.
-            sweep = self.state.sweep(self._plan, self._consumed, stop=stop)
-            symbols = sweep.symbol_rows(self.paa_size, self.alphabet_size)
-            with stage_timer("grammar"):
-                self._ingest_symbols(symbols, self._consumed)
-
-    def _evict(self) -> None:
-        """Advance the retention horizon and forget what slid out."""
-        if self.state.capacity is None:
-            return
-        start = self.state.trim()
-        self._forget_before(start)
+        _drain(self.state, self._plan, {self.paa_size: [self]})
 
     def _forget_before(self, start: int) -> None:
         """Prune tokens whose window start precedes ``start`` (amortized O(1)).
@@ -377,64 +345,30 @@ class StreamingGrammarDetector:
         if self._generations is not None:
             self._generations.drop_before(start)
 
-    def _ingest_symbols(self, symbols: np.ndarray, first_start: int) -> None:
-        """Numerosity-reduce a block of per-window symbol rows and feed them.
+    def _ingest_symbols(
+        self, symbols: np.ndarray, first_start: int
+    ) -> tuple[list[int], list[int]]:
+        """Numerosity-reduce and intern one block of symbol rows.
 
         ``symbols`` holds one row per window start in
-        ``first_start .. first_start + len(symbols) - 1``. Two windows share
-        a SAX word exactly when their symbol rows are equal, so run
-        boundaries are found on the index matrix and the kept rows are
-        interned to integer ids — the same string-free fast path as the
-        batch :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`;
-        a word string is built once per *distinct* row, ever. Id kernels
-        feed the ids directly; the oracle kernel feeds the interned strings
-        (equal strings, so the induced grammar is bitwise identical).
+        ``first_start .. first_start + len(symbols) - 1``; the step is the
+        batch members' :func:`~repro.sax.numerosity.reduce_symbol_rows`,
+        with the last row carried across blocks. Returns the new kept
+        ``(ids, offsets)``. Grammar feeding is not done here: unbounded and
+        sliding builders catch up at the next poll, decay generations are
+        fed by the drain.
         """
-        count = len(symbols)
-        if count == 0:
-            return
-        codes = pack_symbol_rows(symbols)
-        if self.numerosity == "exact":
-            if codes is None:
-                keep = kept_window_mask(symbols)
-                if self._last_symbols is not None:
-                    keep[0] = bool(np.any(symbols[0] != self._last_symbols))
-            else:
-                # Packing is injective, so run boundaries on the scalar
-                # codes are exactly kept_window_mask's row comparisons —
-                # including the chunk-boundary carry against the last row
-                # of the previous block.
-                keep = np.ones(count, dtype=bool)
-                keep[1:] = codes[1:] != codes[:-1]
-                if self._last_symbols is not None:
-                    keep[0] = codes[0] != pack_symbol_rows(self._last_symbols[None, :])[0]
-            kept_idx = np.flatnonzero(keep)
-            self._last_symbols = np.array(symbols[-1], dtype=np.int64)
-        else:
-            kept_idx = np.arange(count)
-        if codes is None:
-            ids = self._interner.intern_matrix(symbols[kept_idx]).tolist()
-        else:
-            ids = self._interner.intern_packed(
-                codes[kept_idx], symbols.shape[1]
-            ).tolist()
-        offsets = (kept_idx + first_start).tolist()
+        kept, ids = reduce_symbol_rows(
+            symbols, self._interner, self.numerosity, self._last_symbols
+        )
+        self._last_symbols = np.array(symbols[-1], dtype=np.int64)
+        ids = ids.tolist()
+        offsets = (kept + first_start).tolist()
         self._kept_ids.extend(ids)
         self._kept_offsets.extend(offsets)
         self._total_kept += len(ids)
-        # Unbounded builders catch up lazily at the next poll
-        # (_catch_up_builder); only the decay generations must observe
-        # every token eagerly (generation boundaries are offset-driven).
-        if self._generations is not None:
-            # Generation routing can seal (and freeze) mid-ingest, and the
-            # oracle kernel feeds word strings — both index the vocabulary
-            # list the router captured at construction, so any words the
-            # packed intern path deferred must be materialized first.
-            _ = self._interner.vocabulary
-            feed_id = self._generations.feed_id
-            for token_id, offset in zip(ids, offsets):
-                feed_id(token_id, offset)
-        self._consumed = first_start + count
+        self._consumed = first_start + len(symbols)
+        return ids, offsets
 
     def _catch_up_builder(self) -> None:
         """Feed the unbounded builder every kept id it has not yet seen.
@@ -445,18 +379,9 @@ class StreamingGrammarDetector:
         bitwise-identical builder — while extend-only ingestion (the
         serving hot path) skips grammar work entirely.
         """
-        if self._builder_fed >= len(self._kept_ids):
-            return
-        pending = self._kept_ids[self._builder_fed :]
-        with stage_timer("grammar"):
-            if self._kernel == "python":
-                vocabulary = self._interner.vocabulary
-                feed = self._builder.feed
-                for token_id in pending:
-                    feed(vocabulary[token_id])
-            else:
-                self._builder.feed_many(pending)
-        self._builder_fed = len(self._kept_ids)
+        if self._builder_fed < len(self._kept_ids):
+            self._builder.feed_many(self._kept_ids[self._builder_fed :])
+            self._builder_fed = len(self._kept_ids)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (serialization).
@@ -524,7 +449,6 @@ class StreamingGrammarDetector:
         self._consumed = int(data["consumed"])
         last = data["last_symbols"]
         self._last_symbols = None if last is None else np.asarray(last, dtype=np.int64)
-        self._snapshot_cache = None
         self._span_builder = None
         self._curve_cache = None
         if self._builder is not None:
@@ -532,38 +456,28 @@ class StreamingGrammarDetector:
             # makes the next poll's _catch_up_builder feed the complete
             # kept sequence — identical to an eager replay here, but
             # restore itself stays O(tokens-copied).
-            if self._kernel == "python":
-                self._builder = _SequiturBuilder()
-            else:
-                self._builder = _kernel.make_builder(self._kernel)
+            self._builder = _kernel.make_builder(self._kernel, self._interner)
             self._builder_fed = 0
         elif self._generations is not None:
             self._generations = GenerationalSequitur.replay(
                 zip(ids, offsets),
                 generation_size=self.state.generation_size,
                 kernel=self._kernel,
-                vocabulary=self._interner.vocabulary,
+                vocabulary=self._interner,
             )
 
     # ------------------------------------------------------------------
     # Snapshots.
     # ------------------------------------------------------------------
 
-    def _live_tokens(self) -> tuple[tuple[str, ...], np.ndarray]:
-        vocabulary = self._interner.vocabulary
-        words = tuple(vocabulary[i] for i in self._kept_ids[self._live_from :])
-        offsets = np.asarray(self._kept_offsets[self._live_from :], dtype=np.int64)
-        return words, offsets
-
     def _live_offsets(self) -> np.ndarray:
         return np.asarray(self._kept_offsets[self._live_from :], dtype=np.int64)
 
-    def _frozen_grammar(self):
-        """Freeze the unbounded live builder (kernel-appropriate call)."""
-        self._catch_up_builder()
-        if self._kernel == "python":
-            return self._builder.freeze()
-        return self._builder.freeze(self._interner.vocabulary)
+    def _require_window(self) -> None:
+        if self.n_windows == 0:
+            raise ValueError(
+                f"no complete window yet ({len(self.state)} of {self.window} points)"
+            )
 
     def tokens(self) -> TokenSequence:
         """Snapshot of the live numerosity-reduced token sequence.
@@ -572,26 +486,15 @@ class StreamingGrammarDetector:
         the tokens whose windows start inside the horizon — exactly the
         unbounded token stream restricted to ``offset >= horizon_start``.
         """
-        if self.n_windows == 0:
-            raise ValueError(
-                f"no complete window yet ({len(self.state)} of {self.window} points)"
-            )
-        words, offsets = self._live_tokens()
-        if not words:
+        self._require_window()
+        if not self.n_tokens:
             raise ValueError(
                 "no live tokens: every kept word's window starts before the "
                 f"eviction horizon {self.state.start}"
             )
-        return TokenSequence(words, offsets, self.n_windows, self.window)
-
-    def _sliding_grammar(self, words: tuple[str, ...]):
-        """Grammar over exactly the live tokens (cached per live set)."""
-        key = (self._total_kept, self._total_pruned)
-        if self._snapshot_cache is not None and self._snapshot_cache[0] == key:
-            return self._snapshot_cache[1]
-        grammar = induce_grammar(words)
-        self._snapshot_cache = (key, grammar)
-        return grammar
+        vocabulary = self._interner.vocabulary
+        words = tuple(vocabulary[i] for i in self._kept_ids[self._live_from :])
+        return TokenSequence(words, self._live_offsets(), self.n_windows, self.window)
 
     def _sliding_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Occurrence spans of the grammar over exactly the live token ids.
@@ -619,10 +522,34 @@ class StreamingGrammarDetector:
             if delta:
                 builder.feed_many(delta)
         else:
-            builder = _kernel.make_builder(self._kernel)
+            builder = _kernel.make_builder(self._kernel, self._interner)
             builder.feed_many(self._kept_ids[self._live_from :])
             self._span_builder = (self._total_pruned, builder)
         return builder.occurrence_spans()
+
+    def _generation_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occurrence spans of the live decay generations, in live-token indices.
+
+        Sealed generations' spans were extracted once at seal time
+        (:meth:`GenerationalSequitur.live_spans`); only the growing
+        generation is re-read per poll. The horizon only advances in whole
+        generations, so the live generations hold exactly the live tokens,
+        oldest first, and each generation's spans shift by the tokens
+        before it.
+        """
+        firsts: list[np.ndarray] = []
+        lasts: list[np.ndarray] = []
+        base = 0
+        for _index, generation_firsts, generation_lasts, count in self._generations.live_spans():
+            firsts.append(generation_firsts + base)
+            lasts.append(generation_lasts + base)
+            base += count
+        if base != self.n_tokens:
+            raise RuntimeError(
+                f"live generations hold {base} tokens but {self.n_tokens} tokens "
+                "are live; horizon and generations are out of step"
+            )
+        return np.concatenate(firsts), np.concatenate(lasts)
 
     def density_curve(self) -> np.ndarray:
         """Rule density curve over the live stream range (snapshot).
@@ -632,82 +559,64 @@ class StreamingGrammarDetector:
         — index ``i`` covers absolute point ``horizon_start + i`` — built
         from the live tokens only and renormalized over the live horizon.
 
+        The grammar side reads occurrence spans off the member's live
+        builder (unbounded: caught up incrementally; sliding: repaired or
+        rebuilt over the live ids; decay: per generation), and the spans
+        become the curve exactly as in the batch member pipeline.
+
         The last snapshot is memoized keyed on the shared state's
         :attr:`~repro.core.engine.SharedStreamState.version`, so repeated
         polls without new data return the cached curve without re-inducing
         anything. The returned array is the cached object — treat it as
         read-only.
         """
-        if self.n_windows == 0:
-            raise ValueError(
-                f"no complete window yet ({len(self.state)} of {self.window} points)"
-            )
+        self._require_window()
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
-        with stage_timer("density"):
-            curve = self._compute_density_curve()
+        length = self.state.live_length
+        if not self.n_tokens:
+            # Every kept token expired (e.g. one constant run spanning the
+            # whole horizon): no rules, zero density everywhere.
+            curve = np.zeros(length, dtype=np.float64)
+        else:
+            with stage_timer("grammar"):
+                if self._builder is not None:
+                    self._catch_up_builder()
+                    firsts, lasts = self._builder.occurrence_spans()
+                elif self._generations is not None:
+                    firsts, lasts = self._generation_spans()
+                else:
+                    firsts, lasts = self._sliding_spans()
+            with stage_timer("density"):
+                curve = density_curve_from_token_spans(
+                    self._live_offsets(),
+                    self.window,
+                    firsts,
+                    lasts,
+                    length,
+                    horizon_start=self.state.start,
+                )
         self._curve_cache = (version, curve)
         return curve
 
-    def _compute_density_curve(self) -> np.ndarray:
-        """The uncached snapshot computation behind :meth:`density_curve`.
+    def _snapshot_payload(self) -> tuple:
+        """Picklable :func:`_snapshot_density_task` input: the live tokens.
 
-        The oracle kernel takes the reference route (freeze to a
-        :class:`~repro.grammar.rules.Grammar`, then
-        :func:`rule_density_curve`); id kernels fuse it — occurrence spans
-        are read straight off the builder arena and scattered into the
-        curve, with no frozen grammar, no per-occurrence objects, and no
-        word strings. Both routes end in the same integer scatter-add over
-        the same interval multiset, so they are bitwise identical.
+        The live ids, their offsets and the vocabulary cross the process
+        boundary; the worker re-induces the grammar from them (the live
+        builders never leave this process).
         """
-        if self._builder is not None:
-            self._catch_up_builder()
-            if self._kernel == "python":
-                return rule_density_curve(
-                    self._frozen_grammar(), self.tokens(), len(self.state)
-                )
-            # Unbounded members always have >= 1 live token once a window
-            # completed (the caller checked n_windows), so no empty guard.
-            firsts, lasts = self._builder.occurrence_spans()
-            return density_curve_from_token_spans(
-                self._live_offsets(), self.window, firsts, lasts, len(self.state)
-            )
-        start = self.state.start
-        length = self.state.live_length
-        if self.n_tokens == 0:
-            # Every kept token expired (e.g. one constant run spanning the
-            # whole horizon): no rules, zero density everywhere.
-            return np.zeros(length, dtype=np.float64)
-        if self._generations is not None:
-            if self._kernel == "python":
-                words, offsets = self._live_tokens()
-                tokens = TokenSequence(words, offsets, self.n_windows, self.window)
-                return _generation_density(
-                    self._generations.live_grammars(),
-                    words,
-                    offsets,
-                    self._generations.generation_size,
-                    tokens,
-                    start,
-                    length,
-                )
-            return _generation_density_from_spans(
-                self._generations.live_spans(),
-                self._live_offsets(),
-                self._generations.generation_size,
-                self.window,
-                start,
-                length,
-            )
-        if self._kernel == "python":
-            words, offsets = self._live_tokens()
-            tokens = TokenSequence(words, offsets, self.n_windows, self.window)
-            grammar = self._sliding_grammar(words)
-            return rule_density_curve(grammar, tokens, length, horizon_start=start)
-        firsts, lasts = self._sliding_spans()
-        return density_curve_from_token_spans(
-            self._live_offsets(), self.window, firsts, lasts, length, horizon_start=start
+        self._require_window()
+        return (
+            np.asarray(self._kept_ids[self._live_from :], dtype=np.int64),
+            self._live_offsets(),
+            self.window,
+            self.state.live_length,
+            self._kernel,
+            list(self._interner.vocabulary),
+            self.state.start,
+            self.state.generation_size,
         )
 
     def detect(self, k: int = 3) -> list[Anomaly]:
@@ -724,76 +633,56 @@ class StreamingGrammarDetector:
         return candidates
 
 
-def _generation_density(
-    generations,
-    words: tuple[str, ...],
-    offsets: np.ndarray,
-    generation_size: int,
-    tokens: TokenSequence,
-    start: int,
-    length: int,
-) -> np.ndarray:
-    """Sum of per-generation density curves over the live horizon.
+def _drain(
+    state: SharedStreamState,
+    plan: DiscretizationPlan,
+    by_paa_size: dict[int, list[StreamingGrammarDetector]],
+) -> None:
+    """Discretize every completed-but-unseen window and feed the members.
 
-    Each live generation's frozen grammar covers exactly the live tokens
-    whose offsets fall in its ``generation_size`` point range (the horizon
-    only advances in whole generations, so no generation is partially
-    expired). Rules never span generations — the decay policy's relaxed
-    guarantee — so the curves simply add.
+    One shared sweep per block serves every member: PAA and interval
+    matrices once per distinct PAA size (the sweep times ``paa`` and
+    ``discretize`` itself), then per member the symbol lookup and the
+    reduce step (``discretize``) and, for decay members, the generation
+    feed (``grammar``). Large chunks are drained in fixed-size blocks
+    (bounded transient memory); block boundaries are invisible to the
+    result because numerosity reduction carries the last row across them.
+    Once every member has consumed every completed window, the retention
+    horizon advances and members forget what slid out.
     """
-    curve = np.zeros(length, dtype=np.float64)
-    for index, grammar, count in generations:
-        first = int(np.searchsorted(offsets, index * generation_size, side="left"))
-        stop = int(np.searchsorted(offsets, (index + 1) * generation_size, side="left"))
-        if stop - first != count:
-            raise RuntimeError(
-                f"generation {index} holds {count} tokens but {stop - first} "
-                "live tokens fall in its range; horizon and generations are "
-                "out of step"
-            )
-        if first == stop:
-            continue
-        generation_tokens = TokenSequence(
-            words[first:stop], offsets[first:stop], tokens.n_windows, tokens.window
-        )
-        curve += rule_density_curve(
-            grammar, generation_tokens, length, horizon_start=start
-        )
-    return curve
-
-
-def _generation_density_from_spans(
-    spans,
-    offsets: np.ndarray,
-    generation_size: int,
-    window: int,
-    start: int,
-    length: int,
-) -> np.ndarray:
-    """Id-kernel twin of :func:`_generation_density`, with no grammars.
-
-    Sealed generations' occurrence spans were extracted once at seal time
-    (:meth:`GenerationalSequitur.live_spans`) — only the growing generation
-    is re-read per poll. Each generation's spans index its own token slice,
-    found by the same offset bisection as the reference path; accumulation
-    order (oldest first) matches, so the float sum is bitwise identical.
-    """
-    curve = np.zeros(length, dtype=np.float64)
-    for index, firsts, lasts, count in spans:
-        first = int(np.searchsorted(offsets, index * generation_size, side="left"))
-        stop = int(np.searchsorted(offsets, (index + 1) * generation_size, side="left"))
-        if stop - first != count:
-            raise RuntimeError(
-                f"generation {index} holds {count} tokens but {stop - first} "
-                "live tokens fall in its range; horizon and generations are "
-                "out of step"
-            )
-        if first == stop:
-            continue
-        curve += density_curve_from_token_spans(
-            offsets[first:stop], window, firsts, lasts, length, horizon_start=start
-        )
-    return curve
+    n_windows = state.n_windows(plan.window)
+    # Members are drained in lock-step (an attached member never ingests on
+    # its own), so one cursor serves all.
+    first = next(iter(by_paa_size.values()))[0]._consumed
+    decay = state.generation_size is not None
+    while first < n_windows:
+        stop = min(first + _DRAIN_BLOCK, n_windows)
+        sweep = state.sweep(plan, first, stop=stop)
+        for paa_size, members in by_paa_size.items():
+            intervals = sweep.interval_rows(paa_size)
+            with stage_timer("discretize"):
+                fresh = [
+                    member._ingest_symbols(
+                        plan.alphabet_table.symbols_for(intervals, member.alphabet_size),
+                        first,
+                    )
+                    for member in members
+                ]
+            if decay:
+                # Generation boundaries are offset-driven, so decay members
+                # must see every token as it arrives.
+                with stage_timer("grammar"):
+                    for member, (ids, offsets) in zip(members, fresh):
+                        feed_id = member._generations.feed_id
+                        for token_id, offset in zip(ids, offsets):
+                            feed_id(token_id, offset)
+        first = stop
+    if state.capacity is not None:
+        start = state.trim()
+        if start:
+            for members in by_paa_size.values():
+                for member in members:
+                    member._forget_before(start)
 
 
 def _member_snapshot_curve(member: "StreamingGrammarDetector") -> np.ndarray:
@@ -802,37 +691,32 @@ def _member_snapshot_curve(member: "StreamingGrammarDetector") -> np.ndarray:
 
 
 def _snapshot_density_task(payload) -> np.ndarray:
-    """Process task: density curve of a picklable member snapshot.
+    """Process task: a member's snapshot curve from its live tokens.
 
-    The live Sequitur state never leaves the parent process; what crosses
-    the boundary depends on the member's mode — a frozen grammar plus
-    tokens (unbounded), the live tokens to re-induce from (sliding), or the
-    per-generation frozen grammars (decay).
+    Runs the batch member pipeline, :func:`~repro.core.engine.member_density_curve`,
+    over the shipped ids, curve origin at the live horizon. Under the decay
+    policy each generation (tokens with one ``offset // generation_size``)
+    is induced on its own, as the live generations were; rules never span
+    one, and the integer-valued curves add exactly.
     """
-    kind, data = payload
-    if kind == "frozen":
-        grammar, tokens, length = data
-        return rule_density_curve(grammar, tokens, length)
-    if kind == "sliding":
-        tokens, start, length = data
-        if tokens is None:
-            return np.zeros(length, dtype=np.float64)
-        grammar = induce_grammar(tokens.words)
-        return rule_density_curve(grammar, tokens, length, horizon_start=start)
-    if kind == "decay":
-        generations, tokens, generation_size, start, length = data
-        if tokens is None:
-            return np.zeros(length, dtype=np.float64)
-        return _generation_density(
-            generations,
-            tokens.words,
-            tokens.offsets,
-            generation_size,
-            tokens,
-            start,
-            length,
-        )
-    raise ValueError(f"unknown snapshot payload kind {kind!r}")
+    ids, offsets, window, length, kernel, vocabulary, start, generation_size = payload
+    bounds = [0, len(ids)]
+    if generation_size is not None:
+        generations = offsets // generation_size
+        bounds[1:1] = (np.flatnonzero(np.diff(generations)) + 1).tolist()
+    curve = np.zeros(length, dtype=np.float64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            curve += member_density_curve(
+                ids[lo:hi],
+                offsets[lo:hi],
+                window,
+                length,
+                kernel=kernel,
+                vocabulary=vocabulary,
+                horizon_start=start,
+            )
+    return curve
 
 
 class StreamingEnsembleDetector(ExecutorOwnerMixin):
@@ -854,8 +738,9 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     ``executor`` parallelizes the *snapshot* side (``density_curve`` /
     ``detect``), where every member's grammar is turned into a rule density
     curve: thread workers call the live members directly, process workers
-    receive a picklable snapshot per member (the live Sequitur state never
-    leaves this process). Ingest stays serial — it is already one
+    receive each member's live token ids, offsets and vocabulary and
+    re-induce the grammar with :func:`~repro.core.engine.member_density_curve`
+    (the live Sequitur state never leaves this process). Ingest stays serial — it is already one
     vectorized pass. Results are identical across backends.
     """
 
@@ -876,57 +761,77 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         seed: RandomState = None,
         executor: MemberExecutor | str | None = None,
     ) -> None:
-        if window < 2:
-            raise ValueError(f"window must be at least 2, got {window}")
-        window = int(window)
-        max_paa_size = validate_paa_size(max_paa_size, window)
-        max_alphabet_size = validate_alphabet_size(max_alphabet_size)
         if ensemble_size < 1:
             raise ValueError(f"ensemble_size must be positive, got {ensemble_size}")
+        self._configure(
+            window,
+            max_paa_size,
+            max_alphabet_size,
+            selectivity,
+            combiner,
+            numerosity,
+            znorm_threshold,
+            executor,
+        )
+        parameters = sample_parameters(
+            ensure_rng(seed), self.max_paa_size, self.max_alphabet_size, ensemble_size
+        )
+        self._wire(parameters, _make_state(capacity, policy, segments, self.window))
+
+    def _configure(
+        self,
+        window,
+        max_paa_size,
+        max_alphabet_size,
+        selectivity,
+        combiner,
+        numerosity,
+        znorm_threshold,
+        executor,
+    ) -> None:
+        """Validate and install the configuration (construction and restore)."""
+        if window < 2:
+            raise ValueError(f"window must be at least 2, got {window}")
+        self.window = int(window)
+        self.max_paa_size = validate_paa_size(max_paa_size, self.window)
+        self.max_alphabet_size = validate_alphabet_size(max_alphabet_size)
         if not 0.0 < selectivity <= 1.0:
             raise ValueError(f"selectivity must be in (0, 1], got {selectivity}")
-        if combiner not in COMBINERS:
-            raise ValueError(f"unknown combiner {combiner!r}; expected one of {COMBINERS}")
-        self.window = window
-        self.max_paa_size = max_paa_size
-        self.max_alphabet_size = max_alphabet_size
         self.selectivity = float(selectivity)
-        self.combiner = combiner
-        self.numerosity = numerosity
+        self.combiner = str(combiner)
+        if self.combiner not in COMBINERS:
+            raise ValueError(f"unknown combiner {combiner!r}; expected one of {COMBINERS}")
+        self.numerosity = str(numerosity)
+        if self.numerosity not in STRATEGIES:
+            raise ValueError(f"unknown strategy {numerosity!r}; expected one of {STRATEGIES}")
         self.znorm_threshold = float(znorm_threshold)
         self._init_executor(executor)
-        rng = ensure_rng(seed)
-        pool = [
-            (int(w), int(a))
-            for w in range(2, max_paa_size + 1)
-            for a in range(2, max_alphabet_size + 1)
-        ]
-        count = min(int(ensemble_size), len(pool))
-        chosen = rng.choice(len(pool), size=count, replace=False)
-        self.parameters = [pool[int(i)] for i in chosen]
-        self.ensemble_size = len(self.parameters)
+
+    def _wire(self, parameters: list[tuple[int, int]], state: SharedStreamState) -> None:
+        """Build the members of ``parameters`` over ``state`` and one shared plan."""
+        self.parameters = parameters
+        self.ensemble_size = len(parameters)
         #: The single stream buffer every member references.
-        self.state = _make_state(capacity, policy, segments, window)
+        self.state = state
         #: Shared multi-window discretization plan: one sweep per drained
         #: block serves every member (PAA per distinct paa_size, one merged
         #: binary search, per-member symbol lookup).
         self._plan = DiscretizationPlan(
-            window,
-            self.parameters,
+            self.window,
+            parameters,
             znorm_threshold=self.znorm_threshold,
-            max_alphabet_size=max_alphabet_size,
+            max_alphabet_size=self.max_alphabet_size,
         )
-        self._alphabet_table = self._plan.alphabet_table
         self.members = [
             StreamingGrammarDetector(
-                window,
+                self.window,
                 w,
                 a,
                 znorm_threshold=self.znorm_threshold,
                 numerosity=self.numerosity,
-                state=self.state,
+                state=state,
             )
-            for w, a in self.parameters
+            for w, a in parameters
         ]
         #: Members grouped by PAA size — the vectorized ingest shares one
         #: PAA/interval pass per distinct size.
@@ -955,43 +860,12 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     def append(self, value: float) -> None:
         """Feed one observation to the shared state (and every member)."""
         self.state.append(value)
-        self._drain()
+        _drain(self.state, self._plan, self._by_paa_size)
 
     def extend(self, values) -> None:
         """Feed a chunk of observations in one vectorized pass."""
         self.state.extend(values)
-        self._drain()
-
-    def _drain(self) -> None:
-        """Vectorized ingest: one PAA + interval pass per distinct PAA size.
-
-        Large chunks are drained in fixed-size blocks (bounded transient
-        memory); once every member has consumed every completed window, the
-        retention horizon advances and members forget what slid out.
-        """
-        n_windows = self.state.n_windows(self.window)
-        # Every member is drained in lock-step by this loop (members never
-        # ingest on their own when attached), so one cursor serves all.
-        first = self.members[0]._consumed
-        while first < n_windows:
-            stop = min(first + _DRAIN_BLOCK, n_windows)
-            # One shared sweep per block; the sweep fires the paa and
-            # discretize stage timers internally, once per distinct size.
-            sweep = self.state.sweep(self._plan, first, stop=stop)
-            for paa_size, members in self._by_paa_size.items():
-                intervals = sweep.interval_rows(paa_size)
-                with stage_timer("grammar"):
-                    for member in members:
-                        symbols = self._alphabet_table.symbols_for(
-                            intervals, member.alphabet_size
-                        )
-                        member._ingest_symbols(symbols, first)
-            first = stop
-        if self.state.capacity is not None:
-            start = self.state.trim()
-            if start:
-                for member in self.members:
-                    member._forget_before(start)
+        _drain(self.state, self._plan, self._by_paa_size)
 
     def _snapshot_curves(self) -> list[np.ndarray]:
         """Every member's snapshot curve, via the configured executor.
@@ -1006,39 +880,9 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             # Members are independent snapshot readers of the shared state;
             # threads can call them directly, zero serialization.
             return executor.map(_member_snapshot_curve, self.members)
-        # Process backend: ship a picklable snapshot per member; the live
-        # Sequitur builders stay here.
-        length = len(self.state)
-        start = self.state.start
-        live_length = self.state.live_length
-        payloads = []
-        for member in self.members:
-            if member._builder is not None:
-                payloads.append(
-                    ("frozen", (member._frozen_grammar(), member.tokens(), length))
-                )
-                continue
-            words, offsets = member._live_tokens()
-            tokens = (
-                TokenSequence(words, offsets, member.n_windows, member.window)
-                if words
-                else None
-            )
-            if member._generations is not None:
-                payloads.append(
-                    (
-                        "decay",
-                        (
-                            member._generations.live_grammars(),
-                            tokens,
-                            member._generations.generation_size,
-                            start,
-                            live_length,
-                        ),
-                    )
-                )
-            else:
-                payloads.append(("sliding", (tokens, start, live_length)))
+        # Process backend: ship each member's live tokens; the live grammar
+        # builders stay here.
+        payloads = [member._snapshot_payload() for member in self.members]
         return executor.map(_snapshot_density_task, payloads)
 
     def memory_bytes(self) -> int:
@@ -1125,45 +969,19 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
                 f"{len(member_states)} member states"
             )
         instance = cls.__new__(cls)
-        instance.window = int(config["window"])
-        instance.max_paa_size = validate_paa_size(config["max_paa_size"], instance.window)
-        instance.max_alphabet_size = validate_alphabet_size(config["max_alphabet_size"])
-        instance.selectivity = float(config["selectivity"])
-        instance.combiner = str(config["combiner"])
-        if instance.combiner not in COMBINERS:
-            raise ValueError(f"unknown combiner {instance.combiner!r}")
-        instance.numerosity = str(config["numerosity"])
-        if instance.numerosity not in STRATEGIES:
-            raise ValueError(f"unknown strategy {instance.numerosity!r}")
-        instance.znorm_threshold = float(config["znorm_threshold"])
-        instance._init_executor(executor)
-        instance.parameters = parameters
-        instance.ensemble_size = len(parameters)
-        instance.state = SharedStreamState.from_state(snapshot["stream"])
-        instance._plan = DiscretizationPlan(
-            instance.window,
-            parameters,
-            znorm_threshold=instance.znorm_threshold,
-            max_alphabet_size=instance.max_alphabet_size,
+        instance._configure(
+            config["window"],
+            config["max_paa_size"],
+            config["max_alphabet_size"],
+            config["selectivity"],
+            config["combiner"],
+            config["numerosity"],
+            config["znorm_threshold"],
+            executor,
         )
-        instance._alphabet_table = instance._plan.alphabet_table
-        instance.members = []
-        for (w, a), data in zip(parameters, member_states):
-            member = StreamingGrammarDetector(
-                instance.window,
-                w,
-                a,
-                znorm_threshold=instance.znorm_threshold,
-                numerosity=instance.numerosity,
-                state=instance.state,
-            )
+        instance._wire(parameters, SharedStreamState.from_state(snapshot["stream"]))
+        for member, data in zip(instance.members, member_states):
             member._restore_state(data)
-            instance.members.append(member)
-        instance._by_paa_size = {}
-        for member in instance.members:
-            instance._by_paa_size.setdefault(member.paa_size, []).append(member)
-        instance._curve_cache = None
-        instance._detect_cache = None
         return instance
 
     def density_curve(self) -> np.ndarray:
@@ -1184,9 +1002,7 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             return self._curve_cache[1]
         curves = self._snapshot_curves()
         with stage_timer("combine"):
-            kept = select_by_std(curves, self.selectivity)
-            survivors = [normalize_curve(curves[i]) for i in kept]
-            curve = combine_curves(survivors, self.combiner)
+            curve, _ = combine_members(curves, self.selectivity, self.combiner)
         self._curve_cache = (version, curve)
         return curve
 

@@ -7,15 +7,24 @@ symbols, every digram hashes a tuple of strings). This module provides the
 fast backends behind one seam so every caller — batch, streaming, baselines
 — picks up the same speedup without touching the public API:
 
-- ``"python"`` — the reference object implementation (oracle).
+- ``"python"`` — the reference object implementation (oracle), reached
+  through :class:`OracleSequitur`: an adapter that feeds
+  ``vocabulary[token_id]`` word strings into the unchanged
+  ``_SequiturBuilder`` and reads spans off its frozen grammar.
 - ``"fast"`` — :class:`FastSequitur` below: the same algorithm transliterated
   onto an array-backed symbol arena (parallel ``next``/``prev``/``value``
   lists indexed by integer slot) with a packed-int digram table. No symbol
   objects, no tuple keys; terminals are interned integer token ids.
 - ``"compiled"`` — a numba-jitted port of the fast kernel
-  (:mod:`repro.grammar._kernel_compiled`), import-guarded exactly like the
-  optional Dask executor: selecting it without numba installed raises with
-  an install hint, and its tests are skipped when it cannot be imported.
+  (:mod:`repro.grammar._kernel_compiled`), import-guarded: selecting it
+  without numba installed raises with an install hint, and its tests are
+  skipped when it cannot be imported.
+
+Every kernel is constructed by :func:`make_builder` and driven through the
+same id interface (``feed``/``feed_many`` token ids, ``occurrence_spans``,
+``freeze``, ``memory_bytes``), so batch members, streaming members and
+process workers run one pipeline — ids → builder → spans → density curve
+— with no grammar-kernel branches above this module.
 
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily on first
 use, so test harnesses and CI matrices can set it per run), overridable
@@ -106,12 +115,14 @@ def use_kernel(name: str | None) -> Iterator[None]:
         set_kernel(previous)
 
 
-def make_builder(kernel: str | None = None) -> "FastSequitur":
-    """Instantiate the id-based builder for ``kernel`` (default: current).
+def make_builder(kernel: str | None = None, vocabulary: Sequence[str] | None = None):
+    """Instantiate the id-fed builder for ``kernel`` (default: current).
 
-    Only the id-based backends are constructible here; the ``"python"``
-    oracle consumes words, not ids, and its callers keep using
-    :class:`~repro.grammar.sequitur._SequiturBuilder` directly.
+    ``vocabulary[token_id]`` is the word of ``token_id``. Only the
+    ``"python"`` oracle reads it — it induces over word strings, and
+    indexes ``vocabulary`` at feed time, so a growing list or a
+    :class:`~repro.sax.alphabet.WordInterner` (which materializes deferred
+    words on lookup) both work. The id kernels ignore it.
     """
     kernel = current_kernel() if kernel is None else _validate_kernel(kernel)
     if kernel == "fast":
@@ -126,10 +137,63 @@ def make_builder(kernel: str | None = None) -> "FastSequitur":
                 "array kernel) or REPRO_KERNEL=python (the reference oracle)"
             ) from error
         return CompiledSequitur()
-    raise ValueError(
-        "the python kernel has no id-based builder; use _SequiturBuilder "
-        "with word tokens"
-    )
+    if vocabulary is None:
+        raise ValueError(
+            "the python kernel feeds words: make_builder('python', vocabulary) "
+            "needs the vocabulary mapping token ids to words"
+        )
+    return OracleSequitur(vocabulary)
+
+
+class OracleSequitur:
+    """The reference oracle behind the id-builder interface.
+
+    Feeds ``vocabulary[token_id]`` into the unchanged object-graph
+    :class:`~repro.grammar.sequitur._SequiturBuilder` and reads occurrence
+    spans off its frozen :class:`Grammar`, so ``REPRO_KERNEL=python`` runs
+    the same id pipeline as the fast kernels while every digram decision
+    is still the oracle's own.
+    """
+
+    __slots__ = ("_builder", "_vocabulary", "_fed")
+
+    def __init__(self, vocabulary: Sequence[str]) -> None:
+        # Function-level import: sequitur.py imports this module at load.
+        from repro.grammar.sequitur import _SequiturBuilder
+
+        self._builder = _SequiturBuilder()
+        self._vocabulary = vocabulary
+        self._fed = 0
+
+    @property
+    def n_tokens(self) -> int:
+        """Number of tokens fed so far."""
+        return self._fed
+
+    def feed(self, token_id: int) -> None:
+        """Append the word of one token id."""
+        self._builder.feed(self._vocabulary[token_id])
+        self._fed += 1
+
+    def feed_many(self, token_ids: Sequence[int]) -> None:
+        """Append the words of a batch of token ids."""
+        vocabulary = self._vocabulary
+        feed = self._builder.feed
+        for token_id in token_ids:
+            feed(vocabulary[token_id])
+        self._fed += len(token_ids)
+
+    def freeze(self, words: Sequence[str] | None = None) -> Grammar:
+        """The oracle's frozen grammar (its terminals already are words)."""
+        return self._builder.freeze()
+
+    def occurrence_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Token spans of every rule occurrence except R0."""
+        return self._builder.freeze().occurrence_spans()
+
+    def memory_bytes(self) -> int:
+        """Estimate: ~3 CPython symbol objects per fed token."""
+        return self._fed * 200
 
 
 class FastSequitur:
@@ -585,6 +649,7 @@ __all__ = [
     "FastSequitur",
     "KERNELS",
     "KERNEL_ENV",
+    "OracleSequitur",
     "current_kernel",
     "make_builder",
     "set_kernel",

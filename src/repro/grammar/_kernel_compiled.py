@@ -2,10 +2,9 @@
 
 Import-guarded: importing this module requires numba. The seam
 (:func:`repro.grammar._kernel.make_builder`) catches the ImportError and
-re-raises with an install hint, the same pattern as the optional Dask
-executor; the kernel-equivalence tests skip themselves when numba is
-missing, and run the compiled kernel through the exact same oracle
-comparisons when it is present.
+re-raises with an install hint; the kernel-equivalence tests skip
+themselves when numba is missing, and run the compiled kernel through the
+exact same oracle comparisons when it is present.
 
 The state layout is the :class:`~repro.grammar._kernel.FastSequitur` arena
 with numpy storage: ``next``/``prev``/``value`` int64 arrays, rule guard

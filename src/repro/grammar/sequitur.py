@@ -341,13 +341,14 @@ class GenerationalSequitur:
     The sliding policy avoids this by re-inducing over the live tokens
     instead; see :mod:`repro.core.streaming`.
 
-    Each generation's builder comes from the active grammar kernel (see
-    :mod:`repro.grammar._kernel`): id-based kernels intern words internally
-    (:meth:`feed`) or accept pre-interned ids against a caller-owned
-    vocabulary (:meth:`feed_id`, the streaming layer's path). Sealing a
-    generation always frees the builder arena — only the frozen
-    :class:`Grammar` (plain word strings, no token-array references) is
-    retained, which :meth:`memory_bytes` makes observable.
+    Each generation's builder comes from the kernel seam
+    (:func:`repro.grammar._kernel.make_builder`, any kernel): words are
+    interned internally (:meth:`feed`), or pre-interned ids arrive against
+    a caller-owned vocabulary (:meth:`feed_id`, the streaming layer's
+    path). Sealing a generation always frees the builder — only the frozen
+    :class:`Grammar` (plain word strings, no token-array references) and
+    its occurrence spans are retained, which :meth:`memory_bytes` makes
+    observable.
     """
 
     def __init__(
@@ -369,14 +370,16 @@ class GenerationalSequitur:
         #: Caller-owned vocabulary for :meth:`feed_id` (``vocabulary[id]`` is
         #: the word of token id ``id``; it may keep growing between calls).
         self._vocabulary = vocabulary
-        #: Internal interner backing :meth:`feed` under id-based kernels.
+        #: Internal interner backing :meth:`feed`.
         self._own_vocabulary: list[str] = []
         self._own_ids: dict[str, int] = {}
+        #: The id -> word map every generation builder and freeze reads.
+        self._words = self._own_vocabulary if vocabulary is None else vocabulary
         #: Sealed generations: ``{generation_index: (grammar, token_count)}``.
         self._sealed: dict[int, tuple[Grammar, int]] = {}
-        #: Sealed generations' occurrence spans, extracted once at seal time
-        #: (id kernels only) — what makes decay polls amortized: a sealed
-        #: grammar never changes, so its spans never need re-walking.
+        #: Sealed generations' occurrence spans, extracted once at seal time —
+        #: what makes decay polls amortized: a sealed grammar never changes,
+        #: so its spans never need re-walking.
         self._sealed_spans: dict[int, tuple] = {}
         self._current_index: int | None = None
         self._current_builder = None
@@ -423,10 +426,7 @@ class GenerationalSequitur:
         return int(offset) // self.generation_size
 
     def _freeze_current(self) -> Grammar:
-        if self.kernel == "python":
-            return self._current_builder.freeze()
-        vocabulary = self._vocabulary if self._vocabulary is not None else self._own_vocabulary
-        return self._current_builder.freeze(vocabulary)
+        return self._current_builder.freeze(self._words)
 
     def _seal_current(self) -> None:
         if self._current_builder is None:
@@ -438,12 +438,9 @@ class GenerationalSequitur:
             self._freeze_current(),
             self._current_count,
         )
-        if self.kernel != "python":
-            # Spans are two small int arrays per generation — kept so decay
-            # polls never re-walk a sealed grammar (see live_spans).
-            self._sealed_spans[self._current_index] = (
-                self._current_builder.occurrence_spans()
-            )
+        # Spans are two small int arrays per generation — kept so decay
+        # polls never re-walk a sealed grammar (see live_spans).
+        self._sealed_spans[self._current_index] = self._current_builder.occurrence_spans()
         self._current_builder = None
         self._current_frozen = None
         self._current_spans = None
@@ -460,10 +457,7 @@ class GenerationalSequitur:
             self._seal_current()
             self._current_index = index
         if self._current_builder is None:
-            if self.kernel == "python":
-                self._current_builder = _SequiturBuilder()
-            else:
-                self._current_builder = _kernel.make_builder(self.kernel)
+            self._current_builder = _kernel.make_builder(self.kernel, self._words)
 
     def feed(self, word: str, offset: int) -> None:
         """Route one token (with its window offset) to its generation.
@@ -473,15 +467,12 @@ class GenerationalSequitur:
         monotone.
         """
         self._route(offset)
-        if self.kernel == "python":
-            self._current_builder.feed(word)
-        else:
-            token_id = self._own_ids.get(word)
-            if token_id is None:
-                token_id = len(self._own_vocabulary)
-                self._own_ids[word] = token_id
-                self._own_vocabulary.append(word)
-            self._current_builder.feed(token_id)
+        token_id = self._own_ids.get(word)
+        if token_id is None:
+            token_id = len(self._own_vocabulary)
+            self._own_ids[word] = token_id
+            self._own_vocabulary.append(word)
+        self._current_builder.feed(token_id)
         self._current_count += 1
         self._current_frozen = None
         self._current_spans = None
@@ -497,10 +488,7 @@ class GenerationalSequitur:
         if self._vocabulary is None:
             raise ValueError("feed_id requires a vocabulary at construction")
         self._route(offset)
-        if self.kernel == "python":
-            self._current_builder.feed(self._vocabulary[token_id])
-        else:
-            self._current_builder.feed(token_id)
+        self._current_builder.feed(token_id)
         self._current_count += 1
         self._current_frozen = None
         self._current_spans = None
@@ -545,20 +533,13 @@ class GenerationalSequitur:
     def live_spans(self) -> list[tuple[int, "object", "object", int]]:
         """``(index, firsts, lasts, count)`` of every live generation.
 
-        The span-level twin of :meth:`live_grammars` for id-based kernels:
-        sealed generations return occurrence spans extracted once at seal
-        time (their grammars never change again), and only the growing
-        generation reads its live builder arena (cached until the next
-        token). No frozen grammars, rule objects, or word strings are built
-        — the decay snapshot path feeds these straight into the fused
-        density scatter. Oldest generation first, matching
-        :meth:`live_grammars` so accumulated curves stay bitwise equal.
+        The span-level twin of :meth:`live_grammars`: sealed generations
+        return occurrence spans extracted once at seal time (their grammars
+        never change again), and only the growing generation reads its live
+        builder (cached until the next token) — the decay snapshot path
+        feeds these straight into the fused density scatter. Oldest
+        generation first, matching :meth:`live_grammars`.
         """
-        if self.kernel == "python":
-            raise ValueError(
-                "live_spans requires an id-based kernel; the oracle kernel "
-                "snapshots through live_grammars()"
-            )
         live = [
             (index, *self._sealed_spans[index], self._sealed[index][1])
             for index in sorted(self._sealed)
@@ -576,20 +557,15 @@ class GenerationalSequitur:
     def memory_bytes(self) -> int:
         """Estimate of bytes retained by live grammar state.
 
-        The growing generation is charged its builder arena (id kernels
-        report exactly; the oracle is estimated per fed token); sealed
-        generations are charged only their frozen rules. The decay soak
-        asserts this stays bounded as generations retire — the accounting
-        that catches a sealed generation accidentally pinning its builder.
+        The growing generation is charged its builder's own estimate;
+        sealed generations are charged only their frozen rules and spans.
+        The decay soak asserts this stays bounded as generations retire —
+        the accounting that catches a sealed generation accidentally
+        pinning its builder.
         """
         total = 0
         if self._current_builder is not None:
-            if self.kernel == "python":
-                # ~3 slot objects per token (terminal + amortized rule
-                # machinery) at CPython object prices.
-                total += self._current_count * 200
-            else:
-                total += self._current_builder.memory_bytes()
+            total += self._current_builder.memory_bytes()
         for grammar, _count in self._sealed.values():
             total += 64 * grammar.grammar_size()
         for firsts, lasts in self._sealed_spans.values():
@@ -622,24 +598,12 @@ def induce_grammar(tokens: Iterable[str] | Sequence[str]) -> Grammar:
     >>> grammar.rules[1].rhs
     ('ab', 'bc', 'aa')
     """
-    kernel = _kernel.current_kernel()
-    if kernel == "python":
-        builder = _SequiturBuilder()
-        fed = False
-        for word in tokens:
-            if not isinstance(word, str):
-                raise TypeError(f"tokens must be strings, got {type(word).__name__}")
-            builder.feed(word)
-            fed = True
-        if not fed:
-            raise ValueError("cannot induce a grammar from an empty token sequence")
-        return builder.freeze()
-    # Id-based kernels: intern words on the fly, feed integer ids, map back
-    # at freeze time. Grammar structure depends only on the equality pattern
-    # of the tokens, so the result is identical to the oracle's.
+    # Intern words on the fly and feed integer ids through the kernel seam;
+    # grammar structure depends only on the equality pattern of the tokens,
+    # so every kernel returns the oracle's grammar.
     ids: dict[str, int] = {}
     vocabulary: list[str] = []
-    id_builder = _kernel.make_builder(kernel)
+    id_builder = _kernel.make_builder(None, vocabulary)
     feed = id_builder.feed
     fed = False
     for word in tokens:

@@ -128,6 +128,16 @@ class WordInterner:
     def __len__(self) -> int:
         return self._n_ids
 
+    def __getitem__(self, token_id: int) -> str:
+        """Word of ``token_id`` (materializes deferred words first).
+
+        Lets the interner itself stand in for its vocabulary wherever words
+        are looked up by id while interning continues — a word builder (see
+        :func:`repro.grammar._kernel.make_builder`) always sees every id
+        allocated so far.
+        """
+        return self.vocabulary[token_id]
+
     @property
     def vocabulary(self) -> list[str]:
         """Word string of each token id, in id order.

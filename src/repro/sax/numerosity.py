@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sax.alphabet import WordInterner, pack_symbol_rows
+
 #: Supported reduction strategies. ``"exact"`` collapses runs of identical
 #: words (the paper's method); ``"none"`` keeps every word.
 STRATEGIES = ("exact", "none")
@@ -74,47 +76,6 @@ class TokenSequence:
         return start, end
 
 
-@dataclass(frozen=True)
-class TokenIdSequence:
-    """A numerosity-reduced token sequence carried as interned integer ids.
-
-    The id-native counterpart of :class:`TokenSequence`, produced by the
-    vectorized tokenizer path: ``vocabulary[ids[i]]`` is the word string of
-    token ``i`` (the vocabulary is owned by a
-    :class:`repro.sax.alphabet.WordInterner` and may keep growing — ids are
-    stable). Grammar kernels feed on :attr:`ids` directly; word strings are
-    only materialized when a frozen :class:`~repro.grammar.rules.Grammar`
-    is requested.
-    """
-
-    ids: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-    n_windows: int
-    window: int
-    vocabulary: list[str] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.offsets):
-            raise ValueError(
-                f"ids and offsets must align, got {len(self.ids)} ids "
-                f"and {len(self.offsets)} offsets"
-            )
-        if len(self.offsets) and self.n_windows <= int(self.offsets[-1]):
-            raise ValueError("n_windows must exceed the last offset")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def words(self) -> tuple[str, ...]:
-        """Materialize the word strings (one interned string per token)."""
-        vocabulary = self.vocabulary
-        return tuple(vocabulary[token_id] for token_id in self.ids)
-
-    def to_token_sequence(self) -> TokenSequence:
-        """The equivalent :class:`TokenSequence` (word-string view)."""
-        return TokenSequence(self.words(), self.offsets, self.n_windows, self.window)
-
-
 def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
     """Exact-numerosity keep mask over a symbol-index matrix.
 
@@ -129,6 +90,50 @@ def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
     keep = np.ones(len(matrix), dtype=bool)
     keep[1:] = np.any(matrix[1:] != matrix[:-1], axis=1)
     return keep
+
+
+def reduce_symbol_rows(
+    symbols: np.ndarray,
+    interner: WordInterner,
+    strategy: str = "exact",
+    previous: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerosity-reduce a block of symbol rows and intern the kept ones.
+
+    The string-free tokenizer step every ensemble member runs, batch and
+    streaming alike: ``symbols`` holds one symbol row per window (a
+    :meth:`~repro.sax.plan.DiscretizationSweep.symbol_rows` block), and the
+    result is ``(kept, ids)`` — the kept rows' indices into the block
+    (int64) and their token ids in ``interner``. Two windows share a word
+    exactly when their rows are equal, so ``"exact"`` keeps the same
+    windows :func:`numerosity_reduction` keeps on the word list, and a word
+    string is built at most once per *distinct* row. ``previous`` is the
+    last row of the preceding block: a streaming member drains its windows
+    block by block, and a run of equal rows may span the boundary.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    codes = pack_symbol_rows(symbols)
+    if strategy == "none":
+        kept = np.arange(len(symbols), dtype=np.int64)
+    elif codes is None:
+        keep = kept_window_mask(symbols)
+        if previous is not None and len(keep):
+            keep[0] = bool(np.any(symbols[0] != previous))
+        kept = np.flatnonzero(keep).astype(np.int64)
+    else:
+        # Packing is injective, so run boundaries on the scalar codes are
+        # exactly kept_window_mask's row comparisons.
+        keep = np.ones(len(codes), dtype=bool)
+        keep[1:] = codes[1:] != codes[:-1]
+        if previous is not None and len(keep):
+            keep[0] = codes[0] != pack_symbol_rows(previous[None, :])[0]
+        kept = np.flatnonzero(keep).astype(np.int64)
+    if codes is None:
+        ids = interner.intern_matrix(symbols[kept])
+    else:
+        ids = interner.intern_packed(codes[kept], symbols.shape[1])
+    return kept, ids
 
 
 def numerosity_reduction(

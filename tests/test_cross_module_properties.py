@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.detector import GrammarAnomalyDetector
-from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
 from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import expand_tokens, numerosity_reduction
+from repro.sax.alphabet import WordInterner
+from repro.sax.numerosity import expand_tokens, numerosity_reduction, reduce_symbol_rows
+from repro.sax.paa import CumulativeStats
+from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize
 
 steps = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -70,13 +72,14 @@ class TestDiscretizationPipeline:
     def test_multiresolution_equals_plain_pipeline(self, case):
         """The Section 6.2 fast path is externally invisible."""
         series, window, w, a = case
-        discretizer = MultiResolutionDiscretizer(
-            series, window, max_paa_size=min(8, window), max_alphabet_size=8
+        plan = DiscretizationPlan(window, None, max_alphabet_size=8)
+        interner = WordInterner()
+        kept, ids = reduce_symbol_rows(
+            plan.sweep_series(CumulativeStats(series)).symbol_rows(w, a), interner
         )
-        fast = discretizer.tokens(w, a)
         plain = numerosity_reduction(discretize(series, window, w, a), window)
-        assert fast.words == plain.words
-        assert np.array_equal(fast.offsets, plain.offsets)
+        assert tuple(interner.vocabulary[i] for i in ids) == plain.words
+        assert np.array_equal(kept, plain.offsets)
 
 
 class TestDetectorContracts:

@@ -62,15 +62,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("celery", 2)
 
-    def test_dask_spec_is_import_guarded(self):
-        """'dask' is a valid spec, but without the dependency it fails clearly."""
-        validate_executor_spec("dask")
-        validate_executor_spec("dask:tcp://10.0.0.1:8786")
-        try:
-            import distributed  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match="distributed"):
-                make_executor("dask", 2)
+    def test_dask_spec_is_rejected_as_unknown(self):
+        """The dask adapter is gone: 'dask' is an unknown spec like any other."""
+        for spec in ("dask", "dask:tcp://10.0.0.1:8786"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                validate_executor_spec(spec)
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(spec, 2)
 
     def test_validate_executor_spec(self):
         validate_executor_spec(None)

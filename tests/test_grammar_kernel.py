@@ -157,8 +157,8 @@ class TestKernelSeam:
             assert _kernel.current_kernel() == "python"
         assert _kernel.current_kernel() == before
 
-    def test_make_builder_rejects_python(self):
-        with pytest.raises(ValueError, match="no id-based builder"):
+    def test_python_builder_requires_vocabulary(self):
+        with pytest.raises(ValueError, match="vocabulary"):
             _kernel.make_builder("python")
 
     def test_make_builder_rejects_unknown(self):
@@ -175,16 +175,77 @@ class TestKernelSeam:
             assert _kernel.make_builder("compiled") is not None
 
 
+def _spans(builder) -> tuple[list[int], list[int]]:
+    firsts, lasts = builder.occurrence_spans()
+    return firsts.tolist(), lasts.tolist()
+
+
+def _listed_live_spans(forgetter) -> list[tuple]:
+    return [
+        (index, firsts.tolist(), lasts.tolist(), count)
+        for index, firsts, lasts, count in forgetter.live_spans()
+    ]
+
+
+class TestPythonIdBuilderEquivalence:
+    """``make_builder("python")`` — the oracle behind the id seam — emits the
+    same occurrence spans, in the same order, as :class:`FastSequitur`."""
+
+    @given(stream=token_streams)
+    def test_spans_equal_fast(self, stream):
+        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle.feed_many(stream)
+        fast = FastSequitur()
+        fast.feed_many(stream)
+        assert _spans(oracle) == _spans(fast)
+        assert oracle.n_tokens == fast.n_tokens == len(stream)
+
+    @given(stream=token_streams, split=st.integers(min_value=0, max_value=200))
+    def test_incremental_feeding_spans_equal_fast(self, stream, split):
+        split = min(split, len(stream))
+        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle.feed_many(stream[:split])
+        for token in stream[split:]:
+            oracle.feed(token)
+        fast = FastSequitur()
+        fast.feed_many(stream)
+        assert _spans(oracle) == _spans(fast)
+
+    @pytest.mark.parametrize("stream", FIXED_STREAMS, ids=repr)
+    def test_fixed_regressions(self, stream):
+        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle.feed_many(np.asarray(stream, dtype=np.int64))
+        fast = FastSequitur()
+        fast.feed_many(stream)
+        assert _spans(oracle) == _spans(fast)
+        _assert_matches_oracle(oracle, stream)
+
+    def test_vocabulary_is_read_at_feed_time(self):
+        """A vocabulary that grows between feeds (an interner's) is honoured."""
+        vocabulary: list[str] = []
+        oracle = _kernel.make_builder("python", vocabulary)
+        for token in [0, 1, 0, 1, 2, 0, 1]:
+            while len(vocabulary) <= token:
+                vocabulary.append(f"w{len(vocabulary)}")
+            oracle.feed(token)
+        assert oracle.freeze().rules[0].rhs == (1, 1, "w2", 1)
+
+
 class TestGenerationalSequiturKernels:
     def test_feed_id_requires_vocabulary(self):
         forgetter = GenerationalSequitur(4, kernel="fast")
         with pytest.raises(ValueError, match="vocabulary"):
             forgetter.feed_id(0, 0)
 
-    def test_live_spans_requires_id_kernel(self):
-        forgetter = GenerationalSequitur(4, kernel="python")
-        with pytest.raises(ValueError, match="id-based kernel"):
-            forgetter.live_spans()
+    @given(stream=token_streams)
+    def test_python_kernel_live_spans_equal_fast(self, stream):
+        vocabulary = _vocabulary(stream)
+        oracle = GenerationalSequitur(8, kernel="python", vocabulary=vocabulary)
+        fast = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
+        for offset, token in enumerate(stream):
+            oracle.feed_id(token, offset)
+            fast.feed_id(token, offset)
+        assert _listed_live_spans(oracle) == _listed_live_spans(fast)
 
     @given(stream=token_streams)
     def test_feed_id_matches_python_feed(self, stream):

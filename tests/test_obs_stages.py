@@ -7,6 +7,8 @@ identical results — the timers wrap computations, they never alter one.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,42 @@ def test_detect_fills_all_five_stages(timing_on):
         detector.extend(series)
         detector.detect(2)
     assert set(timings) == set(STAGES)
+
+
+def _timed(run) -> tuple[dict[str, float], float]:
+    """Stage timings captured during ``run()`` and its wall time."""
+    with capture() as timings:
+        started = perf_counter()
+        run()
+        wall = perf_counter() - started
+    return timings, wall
+
+
+def test_streaming_stage_timers_are_disjoint(timing_on):
+    """Unbounded N=50 ingest + poll: no stage is timed inside another, so
+    the stage sum cannot exceed the wall time (the deferred grammar
+    catch-up is ``grammar`` only, never also ``density``)."""
+    detector = StreamingEnsembleDetector(window=50, ensemble_size=50, seed=4)
+    series = make_series(seed=4, n=4000)
+
+    def run():
+        detector.extend(series)
+        detector.detect(3)
+
+    timings, wall = _timed(run)
+    assert set(timings) == set(STAGES)
+    assert sum(timings.values()) <= wall
+
+
+def test_batch_stage_timers_are_disjoint(timing_on):
+    """Serial N=50 batch detect: stages add up to at most the wall time, and
+    PAA formation is reported as its own ``paa`` stage by the shared sweep."""
+    detector = EnsembleGrammarDetector(window=50, ensemble_size=50, seed=4)
+    series = make_series(seed=4, n=4000)
+    timings, wall = _timed(lambda: detector.detect(series, 3))
+    assert set(timings) == set(STAGES)
+    assert timings["paa"] > 0.0
+    assert sum(timings.values()) <= wall
 
 
 def test_observations_land_in_the_shared_histogram(timing_on):

@@ -88,6 +88,29 @@ class TestBitwiseRestore:
                 assert ranked(restored) == ranked(original)
             assert len(restored) == len(original) == len(feed)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
+    def test_restore_then_poll_per_executor(self, executor_kind, kernel, policy):
+        """Restore-then-poll through every executor backend: the process
+        backend ships each member's live tokens to a worker, which re-induces
+        the grammar through the same member pipeline."""
+        feed = make_feed()
+        with _kernel.use_kernel(kernel):
+            original = build(policy)
+            original.extend(feed[:600])
+            with StreamingEnsembleDetector.restore(
+                original.snapshot(), executor=executor_kind
+            ) as restored:
+                assert ranked(restored) == ranked(original)
+                np.testing.assert_array_equal(
+                    restored.density_curve(), original.density_curve()
+                )
+                boundaries = (600, 733, 901, len(feed))
+                for start, stop in zip(boundaries, boundaries[1:]):
+                    original.extend(feed[start:stop])
+                    restored.extend(feed[start:stop])
+                    assert ranked(restored) == ranked(original)
+
     @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
     def test_restore_is_kernel_portable(self, policy):
         """Snapshot under one kernel, restore under the other: identical."""

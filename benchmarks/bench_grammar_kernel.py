@@ -4,12 +4,13 @@ Three measurements, written to ``results/BENCH_grammar_kernel.json`` in the
 normalized envelope (machine fingerprint + git SHA, see
 ``runner/schema.py``):
 
-1. **Grammar stage, per token** — the id-based ``FastSequitur`` (batched
-   ``feed_many`` + fused ``occurrence_spans``) against the reference
-   ``_SequiturBuilder`` oracle on the same random token stream.
+1. **Grammar stage, per token** — the id kernels (the C ``compiled``
+   builder and the pure-Python ``FastSequitur``; batched ``feed_many`` +
+   fused ``occurrence_spans``) against the reference ``_SequiturBuilder``
+   oracle on the same random token stream.
 2. **Streaming, per point** — end-to-end ``StreamingGrammarDetector``
-   ingest + density poll on a 100k-point stream under the fast and python
-   kernels, and against a reconstruction of the seed's scalar path
+   ingest + density poll on a 100k-point stream under the compiled, fast
+   and python kernels, and against a reconstruction of the seed's scalar path
    (per-window ``sax_word`` + per-word oracle feed), which is what the
    refactor replaced. The headline gate: the fast path is >= 10x the
    scalar per-point cost.
@@ -56,21 +57,26 @@ SEED = 0
 
 
 def _grammar_stage() -> dict:
-    """Oracle vs fast kernel on one stream, with the large-scale parity check."""
+    """Oracle vs id kernels on one stream, with the large-scale parity check."""
     oracle_s, spans_oracle = grammar_stage_once("python", N_TOKENS, ALPHABET, SEED)
     fast_s, spans_fast = grammar_stage_once("fast", N_TOKENS, ALPHABET, SEED)
+    compiled_s, spans_compiled = grammar_stage_once("compiled", N_TOKENS, ALPHABET, SEED)
 
     # The bench doubles as a large-scale parity check: identical span
-    # multisets from both backends.
+    # multisets from every backend (and the same order from the id kernels).
     assert np.array_equal(np.sort(spans_oracle[0]), np.sort(spans_fast[0]))
     assert np.array_equal(np.sort(spans_oracle[1]), np.sort(spans_fast[1]))
+    assert np.array_equal(spans_compiled[0], spans_fast[0])
+    assert np.array_equal(spans_compiled[1], spans_fast[1])
 
     return {
         "tokens": N_TOKENS,
         "alphabet": ALPHABET,
         "oracle_us_per_token": oracle_s / N_TOKENS * 1e6,
         "fast_us_per_token": fast_s / N_TOKENS * 1e6,
+        "compiled_us_per_token": compiled_s / N_TOKENS * 1e6,
         "speedup": oracle_s / max(fast_s, 1e-9),
+        "compiled_over_fast": fast_s / max(compiled_s, 1e-9),
     }
 
 
@@ -107,6 +113,9 @@ def bench_grammar_kernel(benchmark, report):
     python_per_point = stream_per_point_once(
         "python", POINTS, WINDOW, PAA_SIZE, ALPHA_SIZE, SEED
     )
+    compiled_per_point = stream_per_point_once(
+        "compiled", POINTS, WINDOW, PAA_SIZE, ALPHA_SIZE, SEED
+    )
     legacy_per_point = _legacy_per_point(series[:LEGACY_POINTS])
 
     checkpoints = [c for c in (10_000, 25_000, 50_000, 100_000) if c <= POINTS]
@@ -139,6 +148,12 @@ def bench_grammar_kernel(benchmark, report):
                 "1.0x",
             ],
             [
+                "compiled kernel (C)",
+                f"{POINTS:,} pts",
+                f"{compiled_per_point * 1e6:.2f} us/pt",
+                f"{fast_per_point / max(compiled_per_point, 1e-12):.1f}x faster",
+            ],
+            [
                 "grammar stage: oracle",
                 f"{N_TOKENS:,} tok",
                 f"{grammar_stage['oracle_us_per_token']:.2f} us/tok",
@@ -149,6 +164,12 @@ def bench_grammar_kernel(benchmark, report):
                 f"{N_TOKENS:,} tok",
                 f"{grammar_stage['fast_us_per_token']:.2f} us/tok",
                 "1.0x",
+            ],
+            [
+                "grammar stage: compiled (C)",
+                f"{N_TOKENS:,} tok",
+                f"{grammar_stage['compiled_us_per_token']:.2f} us/tok",
+                f"{grammar_stage['compiled_over_fast']:.1f}x faster",
             ],
         ],
         title=f"Grammar kernel hot path (window {WINDOW}, w={PAA_SIZE}, a={ALPHA_SIZE})",
@@ -175,6 +196,7 @@ def bench_grammar_kernel(benchmark, report):
                 "legacy_scalar": legacy_per_point * 1e6,
                 "python_kernel": python_per_point * 1e6,
                 "fast_kernel": fast_per_point * 1e6,
+                "compiled_kernel": compiled_per_point * 1e6,
                 "legacy_over_fast": legacy_speedup,
                 "python_over_fast": kernel_speedup,
             },

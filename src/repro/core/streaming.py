@@ -347,25 +347,24 @@ class StreamingGrammarDetector:
 
     def _ingest_symbols(
         self, symbols: np.ndarray, first_start: int
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Numerosity-reduce and intern one block of symbol rows.
 
         ``symbols`` holds one row per window start in
         ``first_start .. first_start + len(symbols) - 1``; the step is the
         batch members' :func:`~repro.sax.numerosity.reduce_symbol_rows`,
         with the last row carried across blocks. Returns the new kept
-        ``(ids, offsets)``. Grammar feeding is not done here: unbounded and
-        sliding builders catch up at the next poll, decay generations are
-        fed by the drain.
+        ``(ids, offsets)`` as int64 arrays. Grammar feeding is not done
+        here: unbounded and sliding builders catch up at the next poll,
+        decay generations are fed by the drain.
         """
         kept, ids = reduce_symbol_rows(
             symbols, self._interner, self.numerosity, self._last_symbols
         )
         self._last_symbols = np.array(symbols[-1], dtype=np.int64)
-        ids = ids.tolist()
-        offsets = (kept + first_start).tolist()
-        self._kept_ids.extend(ids)
-        self._kept_offsets.extend(offsets)
+        offsets = kept + first_start
+        self._kept_ids.extend(ids.tolist())
+        self._kept_offsets.extend(offsets.tolist())
         self._total_kept += len(ids)
         self._consumed = first_start + len(symbols)
         return ids, offsets
@@ -670,12 +669,11 @@ def _drain(
                 ]
             if decay:
                 # Generation boundaries are offset-driven, so decay members
-                # must see every token as it arrives.
+                # are fed as tokens arrive: one builder call per generation
+                # run of the block.
                 with stage_timer("grammar"):
                     for member, (ids, offsets) in zip(members, fresh):
-                        feed_id = member._generations.feed_id
-                        for token_id, offset in zip(ids, offsets):
-                            feed_id(token_id, offset)
+                        member._generations.feed_ids(ids, offsets)
         first = stop
     if state.capacity is not None:
         start = state.trim()

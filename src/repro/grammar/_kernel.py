@@ -15,10 +15,14 @@ fast backends behind one seam so every caller — batch, streaming, baselines
   onto an array-backed symbol arena (parallel ``next``/``prev``/``value``
   lists indexed by integer slot) with a packed-int digram table. No symbol
   objects, no tuple keys; terminals are interned integer token ids.
-- ``"compiled"`` — a numba-jitted port of the fast kernel
-  (:mod:`repro.grammar._kernel_compiled`), import-guarded: selecting it
-  without numba installed raises with an install hint, and its tests are
-  skipped when it cannot be imported.
+- ``"compiled"`` (the default) — ``FastSequitur`` transliterated into C
+  (``_sequitur.c``), built with the system ``cc`` on first use, cached per
+  user under a hash of the source, and loaded with :mod:`ctypes`
+  (:mod:`repro.grammar._compiled`). It needs no package. Without a
+  compiler, or when the build fails, the seam falls back to ``fast`` — with
+  one logged WARNING and a ``repro_kernel_fallback_total`` increment — and
+  :func:`current_kernel` reports ``fast``, so provenance and snapshot
+  metadata name the kernel that actually ran.
 
 Every kernel is constructed by :func:`make_builder` and driven through the
 same id interface (``feed``/``feed_many`` token ids, ``occurrence_spans``,
@@ -29,8 +33,8 @@ process workers run one pipeline — ids → builder → spans → density curve
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily on first
 use, so test harnesses and CI matrices can set it per run), overridable
 programmatically with :func:`set_kernel` / :func:`use_kernel`. The default
-is ``"fast"``; the bitwise-parity suites run the whole test matrix under
-both ``python`` and ``fast`` to keep the kernels interchangeable.
+is ``"compiled"``; the bitwise-parity suites run under every kernel to keep
+them interchangeable, ``fast`` included so the fallback stays covered.
 
 Kernel equivalence contract (pinned by ``tests/test_grammar_kernel.py``):
 for any token sequence, every backend produces the identical frozen
@@ -39,7 +43,7 @@ refcounts) and the identical occurrence spans. Grammar structure depends
 only on the *equality pattern* of the tokens, never on id values, so
 interning is invisible to the result.
 
-Encoding of the symbol arena (``FastSequitur``):
+Encoding of the symbol arena (``FastSequitur``, and the C kernel alike):
 
 - ``value >= 0`` and even — a terminal with token id ``value >> 1``;
 - ``value >= 1`` and odd — a non-terminal referencing the rule with serial
@@ -62,13 +66,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.grammar import _compiled
 from repro.grammar.rules import Grammar, GrammarRule
 
 #: Recognized kernel names, in documentation order.
 KERNELS = ("python", "fast", "compiled")
 
 #: Kernel used when ``REPRO_KERNEL`` is unset.
-DEFAULT_KERNEL = "fast"
+DEFAULT_KERNEL = "compiled"
 
 #: Environment variable consulted (lazily) for the kernel choice.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -85,13 +90,19 @@ def _validate_kernel(name: str) -> str:
 
 
 def current_kernel() -> str:
-    """The active kernel name (override, else ``REPRO_KERNEL``, else fast)."""
-    if _override is not None:
-        return _override
-    env = os.environ.get(KERNEL_ENV)
-    if env is None or env == "":
-        return DEFAULT_KERNEL
-    return _validate_kernel(env)
+    """The active kernel name (override, else ``REPRO_KERNEL``, else compiled).
+
+    ``compiled`` reads as ``fast`` when the C library is unavailable: the
+    name is that of the kernel :func:`make_builder` actually serves. The
+    first ``compiled`` resolution in a process builds or loads the library.
+    """
+    name = _override
+    if name is None:
+        env = os.environ.get(KERNEL_ENV)
+        name = DEFAULT_KERNEL if env is None or env == "" else _validate_kernel(env)
+    if name == "compiled" and _compiled.library() is None:
+        return "fast"
+    return name
 
 
 def set_kernel(name: str | None) -> str | None:
@@ -118,6 +129,9 @@ def use_kernel(name: str | None) -> Iterator[None]:
 def make_builder(kernel: str | None = None, vocabulary: Sequence[str] | None = None):
     """Instantiate the id-fed builder for ``kernel`` (default: current).
 
+    ``"compiled"`` serves :class:`FastSequitur` when the C library is
+    unavailable (see :func:`current_kernel`).
+
     ``vocabulary[token_id]`` is the word of ``token_id``. Only the
     ``"python"`` oracle reads it — it induces over word strings, and
     indexes ``vocabulary`` at feed time, so a growing list or a
@@ -125,18 +139,13 @@ def make_builder(kernel: str | None = None, vocabulary: Sequence[str] | None = N
     words on lookup) both work. The id kernels ignore it.
     """
     kernel = current_kernel() if kernel is None else _validate_kernel(kernel)
+    if kernel == "compiled":
+        library = _compiled.library()
+        if library is not None:
+            return _compiled.CompiledSequitur(library)
+        kernel = "fast"
     if kernel == "fast":
         return FastSequitur()
-    if kernel == "compiled":
-        try:
-            from repro.grammar._kernel_compiled import CompiledSequitur
-        except ImportError as error:
-            raise ImportError(
-                "REPRO_KERNEL=compiled requires numba, which is not installed; "
-                "install numba or select REPRO_KERNEL=fast (the pure-Python "
-                "array kernel) or REPRO_KERNEL=python (the reference oracle)"
-            ) from error
-        return CompiledSequitur()
     if vocabulary is None:
         raise ValueError(
             "the python kernel feeds words: make_builder('python', vocabulary) "

@@ -17,12 +17,19 @@ The builder (:class:`_SequiturBuilder`) is internal; the public entry points
 are :func:`induce_grammar`, which returns a frozen
 :class:`repro.grammar.rules.Grammar`, and :class:`GenerationalSequitur`,
 the generation-segmented variant whose old generations can be retired
-wholesale (the streaming eviction layer's grammar forgetting).
+wholesale (the streaming eviction layer's grammar forgetting). Its
+:meth:`~GenerationalSequitur.feed_ids` routes a block of pre-interned ids,
+splitting it at generation boundaries and handing each run to its
+generation's builder in one ``feed_many`` call — bitwise the same as
+per-token :meth:`~GenerationalSequitur.feed_id`, and what the decay drain
+uses so a compiled kernel is not driven one token per call.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.grammar import _kernel
 from repro.grammar.rules import Grammar, GrammarRule
@@ -416,9 +423,8 @@ class GenerationalSequitur:
         Retirement statistics are *not* live state and restart at zero.
         """
         instance = cls(generation_size, kernel=kernel, vocabulary=vocabulary)
-        feed_id = instance.feed_id
-        for token_id, offset in tokens:
-            feed_id(token_id, offset)
+        pairs = np.asarray(list(tokens), dtype=np.int64).reshape(-1, 2)
+        instance.feed_ids(pairs[:, 0], pairs[:, 1])
         return instance
 
     def generation_of(self, offset: int) -> int:
@@ -492,6 +498,36 @@ class GenerationalSequitur:
         self._current_count += 1
         self._current_frozen = None
         self._current_spans = None
+
+    def feed_ids(self, token_ids: Sequence[int], offsets: Sequence[int]) -> None:
+        """Route a block of pre-interned ids, one builder call per generation.
+
+        ``offsets[i]`` is the window offset of ``token_ids[i]``. The block is
+        split where ``offset // generation_size`` changes and each run goes
+        to its generation in one ``feed_many`` call, so the result is the
+        same as :meth:`feed_id` per token, on any kernel — the decay drain's
+        entry, which keeps per-token interpreter and call overhead out of
+        the compiled kernel's path.
+        """
+        if self._vocabulary is None:
+            raise ValueError("feed_ids requires a vocabulary at construction")
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if token_ids.shape != offsets.shape or token_ids.ndim != 1:
+            raise ValueError(
+                "feed_ids needs equal-length 1-d ids and offsets, got shapes "
+                f"{token_ids.shape} and {offsets.shape}"
+            )
+        if not len(token_ids):
+            return
+        self._current_frozen = None
+        self._current_spans = None
+        cuts = np.flatnonzero(np.diff(offsets // self.generation_size)) + 1
+        bounds = [0, *cuts.tolist(), len(token_ids)]
+        for start, stop in zip(bounds, bounds[1:]):
+            self._route(int(offsets[start]))
+            self._current_builder.feed_many(token_ids[start:stop])
+            self._current_count += stop - start
 
     def drop_before(self, offset: int) -> int:
         """Retire every sealed generation ending at or before ``offset``.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.utils.validation import validate_alphabet_size
 
@@ -32,7 +32,9 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
     """
     alphabet_size = validate_alphabet_size(alphabet_size)
     quantiles = np.arange(1, alphabet_size) / alphabet_size
-    breakpoints = norm.ppf(quantiles)
+    # ndtri is the standard normal quantile function norm.ppf evaluates
+    # (bitwise equal), without importing scipy.stats.
+    breakpoints = ndtri(quantiles)
     breakpoints.flags.writeable = False
     return breakpoints
 

@@ -30,7 +30,7 @@ suites. Stage timers fire here — ``paa`` around matrix formation and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class DiscretizationSweep:
     def _shared_stats(self):
         # The python oracle re-derives statistics inside sliding_paa_rows,
         # exactly as the pre-plan per-member code did; sharing is the
-        # fast/compiled kernels' job.
+        # job of every other kernel.
         if self._kernel == "python":
             return None
         if self._stats is None:
@@ -227,7 +227,7 @@ class DiscretizationSweep:
             rows = self.paa_rows(paa_size)
             with stage_timer("discretize"):
                 intervals = _kernel.interval_rows_from(
-                    rows, self.plan.alphabet_table.merged_breakpoints, kernel=self._kernel
+                    rows, self.plan.alphabet_table.merged_breakpoints
                 )
                 intervals.flags.writeable = False
             self._intervals[paa_size] = intervals

@@ -7,9 +7,8 @@ append/extend + poll — under every kernel and every executor backend, and
 asserts the end results are bitwise identical: same anomaly positions, same
 member selection, same float64 curve bits.
 
-``python`` is the oracle; ``fast`` (the default) must match it exactly, and
-``compiled`` joins the matrix wherever numba is importable (CI's numba cell
-runs this file under ``REPRO_KERNEL=compiled``).
+``python`` is the oracle; ``compiled`` (the default, the C kernel) and
+``fast`` (its fallback) must match it exactly.
 """
 
 from __future__ import annotations
@@ -22,14 +21,7 @@ from repro.core.executors import make_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.sax import _kernel
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-NON_ORACLE = ["fast"] + (["compiled"] if HAVE_NUMBA else [])
+NON_ORACLE = ["fast", "compiled"]
 
 WINDOW = 50
 CONFIG = dict(

@@ -14,15 +14,12 @@ session that never saw a crash.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np

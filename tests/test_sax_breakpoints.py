@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +61,26 @@ class TestGaussianBreakpoints:
             gaussian_breakpoints(1)
         with pytest.raises(ValueError):
             gaussian_breakpoints(27)
+
+
+    @pytest.mark.parametrize("a", range(2, 27))
+    def test_bitwise_equal_to_norm_ppf(self, a):
+        """``ndtri`` computes the table ``norm.ppf`` would, bit for bit, over
+        every valid alphabet size."""
+        expected = norm.ppf(np.arange(1, a) / a)
+        assert gaussian_breakpoints(a).tobytes() == expected.tobytes()
+
+    def test_import_repro_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` is most of a cold ``import repro``; nothing needs it."""
+        source_root = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            f"import sys; sys.path.insert(0, {str(source_root)!r}); import repro; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.strip() == "False"
 
 
 class TestSymbolIndices:

@@ -9,9 +9,8 @@ including the awkward corners: zero-variance windows, fully constant series,
 ring buffers whose arrays start at a nonzero global ``origin``.
 
 The ``python`` kernel is the oracle (it *is* the reference implementation);
-``fast`` must match it exactly, and ``compiled`` is exercised whenever numba
-is importable (skipped otherwise, and run in CI's numba matrix cell under
-``REPRO_KERNEL=compiled``).
+``fast`` must match it exactly, and so must ``compiled`` (whose
+discretization is the ``fast`` sweep).
 """
 
 from __future__ import annotations
@@ -33,22 +32,9 @@ from repro.sax.paa import CumulativeStats, sliding_paa_rows
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize, sax_word
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
+KERNELS = ["python", "fast", "compiled"]
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-KERNELS = ["python", "fast"] + (["compiled"] if HAVE_NUMBA else [])
-
-kernel_param = pytest.mark.parametrize(
-    "kernel",
-    ["python", "fast", pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    )],
-)
+kernel_param = pytest.mark.parametrize("kernel", KERNELS)
 
 
 def make_series(seed: int, n: int, flavor: str = "mixed") -> np.ndarray:
@@ -329,7 +315,7 @@ def test_exact_breakpoint_values_golden_vectors(kernel, alphabet_size):
 
     SAX uses half-open intervals [beta_{i-1}, beta_i); `side="right"` makes
     searchsorted return i for value == beta_{i-1}. Every kernel's interval
-    search (vectorized searchsorted, compiled bisect) must agree with the
+    search (vectorized searchsorted) must agree with the
     scalar `symbol_indices` on values placed exactly on the table, a hair
     below, and a hair above.
     """

@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingEnsembleDetector
 from repro.service import (
     BadRequest,
     ServiceClient,

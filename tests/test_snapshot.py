@@ -3,7 +3,7 @@
 The contract under test is the crash-recovery foundation of the sharded
 serving tier: ``StreamingEnsembleDetector.restore(snapshot())`` yields a
 detector whose every *future* poll and append is bitwise identical to the
-original's — across kernels (``python``/``fast``), across eviction
+original's — across kernels (``python``/``fast``/``compiled``), across eviction
 policies (unbounded/sliding/decay), and across the wire encoding
 (:func:`~repro.service.snapshot.encode_snapshot` /
 :func:`~repro.service.snapshot.decode_snapshot`). Version skew — container
@@ -33,7 +33,7 @@ from repro.service.snapshot import (
     encode_snapshot,
 )
 
-KERNELS = ("python", "fast")
+KERNELS = ("python", "fast", "compiled")
 
 POLICIES = (
     {},
@@ -125,6 +125,27 @@ class TestBitwiseRestore:
             restored = StreamingEnsembleDetector.restore(state)
             restored.extend(feed[700:])
             assert ranked(restored) == reference
+
+    @pytest.mark.parametrize(
+        "taken, restored_under",
+        [("compiled", "python"), ("python", "compiled"), ("fast", "compiled"), ("compiled", "fast")],
+    )
+    @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
+    def test_restore_is_portable_to_and_from_compiled(self, taken, restored_under, policy):
+        """Snapshot under one kernel, restore under another: bitwise identical."""
+        feed = make_feed()
+        with _kernel.use_kernel(taken):
+            original = build(policy)
+            original.extend(feed[:700])
+            state = original.snapshot()
+            original.extend(feed[700:])
+            reference = ranked(original)
+            curve = original.density_curve()
+        with _kernel.use_kernel(restored_under):
+            restored = StreamingEnsembleDetector.restore(state)
+            restored.extend(feed[700:])
+            assert ranked(restored) == reference
+            np.testing.assert_array_equal(restored.density_curve(), curve)
 
     def test_snapshot_survives_the_wire_encoding(self):
         feed = make_feed()

@@ -130,7 +130,7 @@ def bench_streaming_eviction_flat_memory(benchmark, report):
         "retired_generations": sum(
             m._generations.retired_generations for m in decay.members
         ),
-        "retired_rules": sum(m._generations.retired_rules for m in decay.members),
+        "retired_tokens": sum(m._generations.retired_tokens for m in decay.members),
     }
     generation_size = decay.state.generation_size
     del decay

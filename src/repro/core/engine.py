@@ -41,12 +41,13 @@ Example
 -------
 >>> import numpy as np
 >>> from repro.core.engine import SharedStreamState
+>>> from repro.sax.plan import DiscretizationPlan
 >>> state = SharedStreamState()
 >>> state.extend(np.sin(np.linspace(0, 8 * np.pi, 400)))
 400
 >>> len(state)
 400
->>> state.paa_rows(0, 100, 4).shape
+>>> state.sweep(DiscretizationPlan(100, [(4, 4)]), 0).paa_rows(4).shape
 (301, 4)
 """
 
@@ -75,7 +76,7 @@ from repro.grammar.density import density_curve_from_token_spans
 from repro.obs.stages import stage_timer
 from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import reduce_symbol_rows
-from repro.sax.paa import CumulativeStats, sliding_paa_rows
+from repro.sax.paa import CumulativeStats
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import spawn_rngs
@@ -115,8 +116,8 @@ class SharedStreamState:
         indices: ``len(self)`` is the total number of points ever seen, and
         every index-taking method speaks global coordinates. Crucially the
         prefix sums stay the absolute running totals from the very first
-        point, so for any still-live window ``paa_rows`` is **bitwise
-        identical** to what the unbounded state would return.
+        point, so for any still-live window the PAA rows of a :meth:`sweep`
+        are **bitwise identical** to what the unbounded state would return.
     policy:
         Eviction granularity used by :meth:`trim`. ``"sliding"`` retires to
         the exact horizon ``len(self) - capacity`` on every trim;
@@ -388,8 +389,8 @@ class SharedStreamState:
 
         The exported prefix sums are the **absolute** running totals from
         the very first stream point (not rebased to the live range) — the
-        invariant that makes a restored state's ``paa_rows`` bitwise
-        identical to the original's. Arrays are copies; mutating the state
+        invariant that makes a restored state's sweeps bitwise identical to
+        the original's. Arrays are copies; mutating the state
         afterwards does not disturb an exported snapshot.
         """
         lo = self._start - self._base
@@ -412,7 +413,7 @@ class SharedStreamState:
 
         The restored instance is observably identical to the original: same
         global length, horizon, version counter, live values, and absolute
-        prefix sums — so every future ``extend``/``paa_rows`` resumes the
+        prefix sums — so every future ``extend``/``sweep`` resumes the
         exact floating-point accumulation the original would have produced.
         """
         values = np.ascontiguousarray(state["values"], dtype=np.float64)
@@ -450,68 +451,21 @@ class SharedStreamState:
     # Discretization.
     # ------------------------------------------------------------------
 
-    def paa_rows(
-        self,
-        first_start: int,
-        window: int,
-        paa_size: int,
-        znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-        *,
-        stop: int | None = None,
-    ) -> np.ndarray:
-        """Z-normalized PAA rows of every completed window from ``first_start``.
-
-        Returns a ``(stop - first_start, paa_size)`` matrix (``stop``
-        defaults to ``n_windows(window)`` and is clipped to it) computed in
-        one numpy pass over the shared prefix sums; row ``i`` is bitwise
-        equal to the batch discretizer's row ``first_start + i``.
-        ``first_start`` is a global window start and must lie at or after
-        the eviction horizon (:attr:`start`); because the retained prefix
-        sums are the absolute stream totals, rows for live windows are
-        bitwise identical to the unbounded state's rows. The ``stop`` bound
-        lets the streaming detectors drain huge chunks in fixed-size blocks
-        so transient memory stays bounded too.
-        """
-        window = validate_window(window, self.live_length)
-        paa_size = validate_paa_size(paa_size, window)
-        completed = self.n_windows(window)
-        stop = completed if stop is None else min(int(stop), completed)
-        first_start = int(first_start)
-        if first_start < self._start:
-            raise ValueError(
-                f"first_start={first_start} precedes the eviction horizon "
-                f"{self._start}; those windows have been retired"
-            )
-        if not first_start <= stop:
-            raise ValueError(
-                f"first_start={first_start} outside the completed-window range "
-                f"[{self._start}, {stop}]"
-            )
-        base = self._base
-        used = self._n - base
-        return sliding_paa_rows(
-            self._prefix[: used + 1],
-            self._prefix_sq[: used + 1],
-            self._values[:used],
-            first_start,
-            stop,
-            window,
-            paa_size,
-            znorm_threshold,
-            origin=base,
-        )
-
     def sweep(self, plan, first_start: int, *, stop: int | None = None):
         """Open a shared discretization sweep over completed windows.
 
-        The multi-member sibling of :meth:`paa_rows`: same global-coordinate
-        semantics and eviction-horizon validation, but instead of one PAA
-        matrix it returns a :class:`~repro.sax.plan.DiscretizationSweep`
-        over ``[first_start, stop)`` that lazily shares window statistics,
-        PAA matrices and interval matrices across every member of ``plan``.
-        The sweep reads the live buffers with their ring-buffer ``origin``
-        offset, so — exactly as for :meth:`paa_rows` — rows for live
-        windows are bitwise identical to the unbounded state's.
+        Returns a :class:`~repro.sax.plan.DiscretizationSweep` over
+        ``[first_start, stop)`` (``stop`` defaults to the completed-window
+        count and is clipped to it) that lazily shares window statistics,
+        PAA matrices and interval matrices across every member of ``plan``;
+        its row ``i`` is bitwise equal to the batch discretizer's row
+        ``first_start + i``. ``first_start`` is a global window start at or
+        after the eviction horizon (:attr:`start`). The sweep reads the live
+        buffers with their ring-buffer ``origin`` offset, and the retained
+        prefix sums are the absolute stream totals, so rows for live windows
+        are bitwise identical to the unbounded state's. The ``stop`` bound
+        lets the streaming detectors drain huge chunks in fixed-size blocks
+        so transient memory stays bounded too.
         """
         window = validate_window(plan.window, self.live_length)
         completed = self.n_windows(window)
@@ -551,7 +505,6 @@ def member_density_curve(
     length: int,
     *,
     kernel: str | None = None,
-    vocabulary: Sequence[str] | None = None,
     horizon_start: int = 0,
 ) -> np.ndarray:
     """The one member pipeline: token ids → grammar → spans → density curve.
@@ -560,12 +513,11 @@ def member_density_curve(
     snapshots shipped to process workers (in-process streaming members
     keep live builders from the same :func:`~repro.grammar._kernel.make_builder`
     and share the last step). ``ids``/``offsets`` are the numerosity-kept
-    tokens (:func:`~repro.sax.numerosity.reduce_symbol_rows`), ``vocabulary``
-    maps ids to words for the python oracle, and ``horizon_start`` is the
-    stream index of curve point 0.
+    tokens (:func:`~repro.sax.numerosity.reduce_symbol_rows`), and
+    ``horizon_start`` is the stream index of curve point 0.
     """
     with stage_timer("grammar"):
-        builder = _kernel.make_builder(kernel, vocabulary)
+        builder = _kernel.make_builder(kernel)
         builder.feed_many(ids)
         firsts, lasts = builder.occurrence_spans()
     with stage_timer("density"):
@@ -605,9 +557,7 @@ def _member_curves(
         with stage_timer("discretize"):
             symbols = plan.alphabet_table.symbols_for(intervals, alphabet_size)
             kept, ids = reduce_symbol_rows(symbols, interner, numerosity)
-        curve = member_density_curve(
-            ids, kept, window, len(series), kernel=kernel, vocabulary=interner
-        )
+        curve = member_density_curve(ids, kept, window, len(series), kernel=kernel)
         results.append((index, curve))
     return results
 

@@ -11,9 +11,14 @@ PAA size. Each member then runs the batch members' tokenizer step
 (:func:`repro.sax.numerosity.reduce_symbol_rows`) on its symbol rows and
 keeps the interned ids. Snapshotting at any moment yields the rule density
 curve over the live range of the stream: the member's grammar builder —
-from :func:`repro.grammar._kernel.make_builder`, whatever the kernel —
-gives occurrence spans, and the spans become the curve exactly as in the
-batch member pipeline (:func:`repro.core.engine.member_density_curve`).
+from :func:`repro.grammar._kernel.make_builder`, whatever the kernel, fed
+token ids only — gives occurrence spans, and the spans become the curve
+exactly as in the batch member pipeline
+(:func:`repro.core.engine.member_density_curve`). Unbounded and sliding
+members share one builder path: a cached builder over the live ids,
+extended by the new suffix at each poll and rebuilt only once the horizon
+has pruned tokens (an unbounded member never prunes, so it only ever
+extends).
 
 :class:`StreamingGrammarDetector` is one such live member;
 :class:`StreamingEnsembleDetector` maintains a fixed parameter bag of
@@ -44,9 +49,9 @@ O(capacity + N·w) regardless of stream length. Two policies:
 - ``policy="decay"`` (approximate, amortized): tokens are segmented into
   generations (:class:`~repro.grammar.sequitur.GenerationalSequitur`), each
   with its own live incremental Sequitur builder; the horizon advances in
-  generation steps and expired generations are dropped wholesale, rules
-  retired by refcount. Snapshots reuse the occurrence spans of sealed
-  generations (only the newest generation is re-read), at the cost of two
+  generation steps and expired generations are dropped wholesale. A sealed
+  generation keeps only its occurrence spans, so snapshots reuse them (only
+  the newest generation is re-read), at the cost of two
   relaxed guarantees: retention overshoots the horizon by up to one
   generation, and rules never span a generation boundary.
 
@@ -220,7 +225,7 @@ class StreamingGrammarDetector:
         self._last_symbols: np.ndarray | None = None
         #: Kept tokens as interned ids against :attr:`_interner`'s
         #: vocabulary — word strings are materialized only when read
-        #: (python-oracle builders, process payloads, ``tokens()``).
+        #: (``tokens()`` and snapshot export).
         self._interner = WordInterner()
         self._kept_ids: list[int] = []
         self._kept_offsets: list[int] = []
@@ -230,29 +235,19 @@ class StreamingGrammarDetector:
         #: survive list compaction).
         self._total_kept = 0
         self._total_pruned = 0
-        #: Grammar backend, by mode: a live Sequitur builder (unbounded), a
-        #: span builder over the live ids (sliding, :attr:`_span_builder`),
-        #: or generation-segmented builders dropped wholesale as the
-        #: horizon passes them (decay).
-        self._builder = None
-        #: How many of :attr:`_kept_ids` the unbounded builder has consumed.
-        #: Feeding is deferred to poll time (:meth:`_catch_up_builder`): the
-        #: grammar is a deterministic function of the kept-id sequence, so
-        #: catching up at the next snapshot is bitwise equal to eager
-        #: feeding — and ingest-only workloads never pay for it.
-        self._builder_fed = 0
+        #: Grammar backend, by mode: generation-segmented builders dropped
+        #: wholesale as the horizon passes them (decay), else a builder over
+        #: the live ids, tagged with the prune counter it was anchored at
+        #: and fed at poll time (see :meth:`_builder_spans`) — so
+        #: ingest-only workloads never pay for grammar work.
         self._generations: GenerationalSequitur | None = None
-        #: Sliding fast path: the kernel builder over the live ids, tagged
-        #: with the prune counter it was anchored at (see _sliding_spans).
         self._span_builder: tuple[int, "object"] | None = None
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
-        if self.state.capacity is None:
-            self._builder = _kernel.make_builder(self._kernel, self._interner)
-        elif self.state.policy == "decay":
+        if self.state.generation_size is not None:
             self._generations = GenerationalSequitur(
-                self.state.generation_size, kernel=self._kernel, vocabulary=self._interner
+                self.state.generation_size, kernel=self._kernel
             )
 
     def __len__(self) -> int:
@@ -288,7 +283,8 @@ class StreamingGrammarDetector:
 
         Counts the kept token ids and offsets (CPython ``int`` prices), the
         interner's vocabulary (one string per *distinct* word ever seen),
-        and the live grammar state (builder arena or generation set) —
+        and the live grammar state (the cached span builder or the
+        generation set) —
         *excluding* the shared stream state, which is stored once per
         stream and accounted separately via
         :attr:`~repro.core.engine.SharedStreamState.nbytes`. An estimate,
@@ -296,8 +292,8 @@ class StreamingGrammarDetector:
         memory budget accounts against.
         """
         total = len(self._kept_ids) * 72 + self._interner.memory_bytes()
-        if self._builder is not None:
-            total += self._builder.memory_bytes()
+        if self._span_builder is not None:
+            total += self._span_builder[1].memory_bytes()
         if self._generations is not None:
             total += self._generations.memory_bytes()
         return total
@@ -337,8 +333,8 @@ class StreamingGrammarDetector:
             self._live_from = live_from
         if self._live_from > _PRUNE_SLACK and self._live_from * 2 > len(self._kept_ids):
             # Compaction only ever runs in a call that just advanced
-            # _total_pruned, so the sliding span builder's anchor check
-            # (_sliding_spans) can never see a silently-shifted list.
+            # _total_pruned, so the span builder's anchor check
+            # (_builder_spans) can never see a silently-shifted list.
             del self._kept_ids[: self._live_from]
             del self._kept_offsets[: self._live_from]
             self._live_from = 0
@@ -355,8 +351,8 @@ class StreamingGrammarDetector:
         batch members' :func:`~repro.sax.numerosity.reduce_symbol_rows`,
         with the last row carried across blocks. Returns the new kept
         ``(ids, offsets)`` as int64 arrays. Grammar feeding is not done
-        here: unbounded and sliding builders catch up at the next poll,
-        decay generations are fed by the drain.
+        here: span builders catch up at the next poll, decay generations
+        are fed by the drain.
         """
         kept, ids = reduce_symbol_rows(
             symbols, self._interner, self.numerosity, self._last_symbols
@@ -368,19 +364,6 @@ class StreamingGrammarDetector:
         self._total_kept += len(ids)
         self._consumed = first_start + len(symbols)
         return ids, offsets
-
-    def _catch_up_builder(self) -> None:
-        """Feed the unbounded builder every kept id it has not yet seen.
-
-        Grammar induction is a deterministic function of the fed token
-        sequence and unbounded members never prune, so deferring the feed
-        from ingest to the first poll that needs the grammar produces a
-        bitwise-identical builder — while extend-only ingestion (the
-        serving hot path) skips grammar work entirely.
-        """
-        if self._builder_fed < len(self._kept_ids):
-            self._builder.feed_many(self._kept_ids[self._builder_fed :])
-            self._builder_fed = len(self._kept_ids)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (serialization).
@@ -418,10 +401,8 @@ class StreamingGrammarDetector:
         """Install :meth:`export_state` output into a freshly built member.
 
         The member must already be attached to the restored shared state and
-        configured identically (window, sizes, numerosity). Unbounded
-        members never prune, so their exported kept lists are the complete
-        fed sequence and replaying them reconstructs the live builder
-        exactly; sliding members rebuild their span builder lazily at the
+        configured identically (window, sizes, numerosity). Unbounded and
+        sliding members rebuild their span builder over the live ids at the
         next poll; decay members replay through
         :meth:`~repro.grammar.sequitur.GenerationalSequitur.replay` (pure
         offset routing, so generations re-seal at identical boundaries).
@@ -450,19 +431,11 @@ class StreamingGrammarDetector:
         self._last_symbols = None if last is None else np.asarray(last, dtype=np.int64)
         self._span_builder = None
         self._curve_cache = None
-        if self._builder is not None:
-            # Replay is deferred: a fresh builder plus _builder_fed = 0
-            # makes the next poll's _catch_up_builder feed the complete
-            # kept sequence — identical to an eager replay here, but
-            # restore itself stays O(tokens-copied).
-            self._builder = _kernel.make_builder(self._kernel, self._interner)
-            self._builder_fed = 0
-        elif self._generations is not None:
+        if self._generations is not None:
             self._generations = GenerationalSequitur.replay(
                 zip(ids, offsets),
                 generation_size=self.state.generation_size,
                 kernel=self._kernel,
-                vocabulary=self._interner,
             )
 
     # ------------------------------------------------------------------
@@ -495,14 +468,15 @@ class StreamingGrammarDetector:
         words = tuple(vocabulary[i] for i in self._kept_ids[self._live_from :])
         return TokenSequence(words, self._live_offsets(), self.n_windows, self.window)
 
-    def _sliding_spans(self) -> tuple[np.ndarray, np.ndarray]:
+    def _builder_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Occurrence spans of the grammar over exactly the live token ids.
 
-        Amortized prune-and-repair, the id-kernel sliding path: while no
+        Amortized prune-and-repair, the unbounded and sliding path: while no
         token has been pruned since the cached builder was anchored, the
         live sequence has only grown at the right end — where Sequitur *is*
         incremental — so the builder is repaired by feeding just the new
-        suffix. Once the horizon has claimed tokens, the dead prefix
+        suffix (an unbounded member never prunes, so this is all it ever
+        does). Once the horizon has claimed tokens, the dead prefix
         invalidates the grammar (Sequitur output depends on the whole
         sequence, and the parity contract is re-induction over exactly the
         live tokens), so the builder is rebuilt over the live ids: O(live)
@@ -521,7 +495,7 @@ class StreamingGrammarDetector:
             if delta:
                 builder.feed_many(delta)
         else:
-            builder = _kernel.make_builder(self._kernel, self._interner)
+            builder = _kernel.make_builder(self._kernel)
             builder.feed_many(self._kept_ids[self._live_from :])
             self._span_builder = (self._total_pruned, builder)
         return builder.occurrence_spans()
@@ -559,9 +533,9 @@ class StreamingGrammarDetector:
         from the live tokens only and renormalized over the live horizon.
 
         The grammar side reads occurrence spans off the member's live
-        builder (unbounded: caught up incrementally; sliding: repaired or
-        rebuilt over the live ids; decay: per generation), and the spans
-        become the curve exactly as in the batch member pipeline.
+        builder (unbounded and sliding: repaired or rebuilt over the live
+        ids; decay: per generation), and the spans become the curve exactly
+        as in the batch member pipeline.
 
         The last snapshot is memoized keyed on the shared state's
         :attr:`~repro.core.engine.SharedStreamState.version`, so repeated
@@ -580,13 +554,10 @@ class StreamingGrammarDetector:
             curve = np.zeros(length, dtype=np.float64)
         else:
             with stage_timer("grammar"):
-                if self._builder is not None:
-                    self._catch_up_builder()
-                    firsts, lasts = self._builder.occurrence_spans()
-                elif self._generations is not None:
+                if self._generations is not None:
                     firsts, lasts = self._generation_spans()
                 else:
-                    firsts, lasts = self._sliding_spans()
+                    firsts, lasts = self._builder_spans()
             with stage_timer("density"):
                 curve = density_curve_from_token_spans(
                     self._live_offsets(),
@@ -602,9 +573,9 @@ class StreamingGrammarDetector:
     def _snapshot_payload(self) -> tuple:
         """Picklable :func:`_snapshot_density_task` input: the live tokens.
 
-        The live ids, their offsets and the vocabulary cross the process
-        boundary; the worker re-induces the grammar from them (the live
-        builders never leave this process).
+        The live ids and their offsets cross the process boundary; the
+        worker re-induces the grammar from them (the live builders and the
+        vocabulary never leave this process).
         """
         self._require_window()
         return (
@@ -613,7 +584,6 @@ class StreamingGrammarDetector:
             self.window,
             self.state.live_length,
             self._kernel,
-            list(self._interner.vocabulary),
             self.state.start,
             self.state.generation_size,
         )
@@ -697,7 +667,7 @@ def _snapshot_density_task(payload) -> np.ndarray:
     is induced on its own, as the live generations were; rules never span
     one, and the integer-valued curves add exactly.
     """
-    ids, offsets, window, length, kernel, vocabulary, start, generation_size = payload
+    ids, offsets, window, length, kernel, start, generation_size = payload
     bounds = [0, len(ids)]
     if generation_size is not None:
         generations = offsets // generation_size
@@ -711,7 +681,6 @@ def _snapshot_density_task(payload) -> np.ndarray:
                 window,
                 length,
                 kernel=kernel,
-                vocabulary=vocabulary,
                 horizon_start=start,
             )
     return curve
@@ -736,7 +705,7 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     ``executor`` parallelizes the *snapshot* side (``density_curve`` /
     ``detect``), where every member's grammar is turned into a rule density
     curve: thread workers call the live members directly, process workers
-    receive each member's live token ids, offsets and vocabulary and
+    receive each member's live token ids and offsets and
     re-induce the grammar with :func:`~repro.core.engine.member_density_curve`
     (the live Sequitur state never leaves this process). Ingest stays serial — it is already one
     vectorized pass. Results are identical across backends.

@@ -8,9 +8,9 @@ fast backends behind one seam so every caller — batch, streaming, baselines
 — picks up the same speedup without touching the public API:
 
 - ``"python"`` — the reference object implementation (oracle), reached
-  through :class:`OracleSequitur`: an adapter that feeds
-  ``vocabulary[token_id]`` word strings into the unchanged
-  ``_SequiturBuilder`` and reads spans off its frozen grammar.
+  through :class:`OracleSequitur`: an adapter that feeds ``str(token_id)``
+  terminals into the unchanged ``_SequiturBuilder`` and reads spans off
+  its frozen grammar.
 - ``"fast"`` — :class:`FastSequitur` below: the same algorithm transliterated
   onto an array-backed symbol arena (parallel ``next``/``prev``/``value``
   lists indexed by integer slot) with a packed-int digram table. No symbol
@@ -126,17 +126,11 @@ def use_kernel(name: str | None) -> Iterator[None]:
         set_kernel(previous)
 
 
-def make_builder(kernel: str | None = None, vocabulary: Sequence[str] | None = None):
+def make_builder(kernel: str | None = None):
     """Instantiate the id-fed builder for ``kernel`` (default: current).
 
     ``"compiled"`` serves :class:`FastSequitur` when the C library is
     unavailable (see :func:`current_kernel`).
-
-    ``vocabulary[token_id]`` is the word of ``token_id``. Only the
-    ``"python"`` oracle reads it — it induces over word strings, and
-    indexes ``vocabulary`` at feed time, so a growing list or a
-    :class:`~repro.sax.alphabet.WordInterner` (which materializes deferred
-    words on lookup) both work. The id kernels ignore it.
     """
     kernel = current_kernel() if kernel is None else _validate_kernel(kernel)
     if kernel == "compiled":
@@ -146,32 +140,27 @@ def make_builder(kernel: str | None = None, vocabulary: Sequence[str] | None = N
         kernel = "fast"
     if kernel == "fast":
         return FastSequitur()
-    if vocabulary is None:
-        raise ValueError(
-            "the python kernel feeds words: make_builder('python', vocabulary) "
-            "needs the vocabulary mapping token ids to words"
-        )
-    return OracleSequitur(vocabulary)
+    return OracleSequitur()
 
 
 class OracleSequitur:
     """The reference oracle behind the id-builder interface.
 
-    Feeds ``vocabulary[token_id]`` into the unchanged object-graph
-    :class:`~repro.grammar.sequitur._SequiturBuilder` and reads occurrence
-    spans off its frozen :class:`Grammar`, so ``REPRO_KERNEL=python`` runs
-    the same id pipeline as the fast kernels while every digram decision
-    is still the oracle's own.
+    Feeds ``str(token_id)`` terminals into the unchanged object-graph
+    :class:`~repro.grammar.sequitur._SequiturBuilder` — string terminals
+    never collide with its integer rule keys — and reads occurrence spans
+    off its frozen :class:`Grammar`, so ``REPRO_KERNEL=python`` runs the
+    same id pipeline as the fast kernels while every digram decision is
+    still the oracle's own. Words appear only in :meth:`freeze`.
     """
 
-    __slots__ = ("_builder", "_vocabulary", "_fed")
+    __slots__ = ("_builder", "_fed")
 
-    def __init__(self, vocabulary: Sequence[str]) -> None:
+    def __init__(self) -> None:
         # Function-level import: sequitur.py imports this module at load.
         from repro.grammar.sequitur import _SequiturBuilder
 
         self._builder = _SequiturBuilder()
-        self._vocabulary = vocabulary
         self._fed = 0
 
     @property
@@ -180,21 +169,29 @@ class OracleSequitur:
         return self._fed
 
     def feed(self, token_id: int) -> None:
-        """Append the word of one token id."""
-        self._builder.feed(self._vocabulary[token_id])
+        """Append one token id."""
+        self._builder.feed(str(token_id))
         self._fed += 1
 
     def feed_many(self, token_ids: Sequence[int]) -> None:
-        """Append the words of a batch of token ids."""
-        vocabulary = self._vocabulary
+        """Append a batch of token ids."""
         feed = self._builder.feed
         for token_id in token_ids:
-            feed(vocabulary[token_id])
+            feed(str(token_id))
         self._fed += len(token_ids)
 
-    def freeze(self, words: Sequence[str] | None = None) -> Grammar:
-        """The oracle's frozen grammar (its terminals already are words)."""
-        return self._builder.freeze()
+    def freeze(self, words: Sequence[str]) -> Grammar:
+        """The oracle's frozen grammar with terminals mapped to ``words``."""
+        grammar = self._builder.freeze()
+        return Grammar(
+            tuple(
+                GrammarRule(
+                    rule.index,
+                    tuple(s if isinstance(s, int) else words[int(s)] for s in rule.rhs),
+                )
+                for rule in grammar.rules
+            )
+        )
 
     def occurrence_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Token spans of every rule occurrence except R0."""
@@ -525,7 +522,7 @@ class FastSequitur:
         """Snapshot into an immutable :class:`Grammar`, mapping ids to words.
 
         ``words[token_id]`` must be the word string of ``token_id`` (the
-        interner's vocabulary). Rule numbering matches the oracle exactly:
+        interner's word list). Rule numbering matches the oracle exactly:
         1..k in order of first reference during a pre-order walk from R0.
         """
         nxt, value = self._next, self._value

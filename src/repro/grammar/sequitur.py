@@ -18,11 +18,12 @@ are :func:`induce_grammar`, which returns a frozen
 :class:`repro.grammar.rules.Grammar`, and :class:`GenerationalSequitur`,
 the generation-segmented variant whose old generations can be retired
 wholesale (the streaming eviction layer's grammar forgetting). Its
-:meth:`~GenerationalSequitur.feed_ids` routes a block of pre-interned ids,
-splitting it at generation boundaries and handing each run to its
+:meth:`~GenerationalSequitur.feed_ids` routes a block of interned token
+ids, splitting it at generation boundaries and handing each run to its
 generation's builder in one ``feed_many`` call — bitwise the same as
 per-token :meth:`~GenerationalSequitur.feed_id`, and what the decay drain
-uses so a compiled kernel is not driven one token per call.
+uses so a compiled kernel is not driven one token per call. A sealed
+generation keeps only its occurrence spans and token count.
 """
 
 from __future__ import annotations
@@ -332,15 +333,15 @@ class GenerationalSequitur:
     """Generation-segmented Sequitur with wholesale rule retirement.
 
     The streaming eviction layer's grammar-forgetting backend for the
-    ``"decay"`` policy: tokens are routed by their window offset into fixed
-    ``generation_size``-point generations, each owning an independent
-    Sequitur builder. A generation is *sealed* (frozen into an immutable
-    :class:`~repro.grammar.rules.Grammar`, its builder discarded) as soon as
-    the first token of the next generation arrives, and
-    :meth:`drop_before` retires whole sealed generations once the eviction
-    horizon passes them — their rules are reference-counted into the
-    retirement stats and forgotten wholesale, which is what keeps a live
-    grammar's memory proportional to the horizon instead of the stream.
+    ``"decay"`` policy: token ids are routed by their window offset into
+    fixed ``generation_size``-point generations, each owning an independent
+    Sequitur builder from the kernel seam
+    (:func:`repro.grammar._kernel.make_builder`, any kernel). A generation
+    is *sealed* as soon as the first token of the next generation arrives:
+    its occurrence spans and token count are kept and its builder is
+    discarded. :meth:`drop_before` retires whole sealed generations once
+    the eviction horizon passes them, which is what keeps a live grammar's
+    memory proportional to the horizon instead of the stream.
 
     The relaxation relative to a single grammar over the same tokens: rules
     never span a generation boundary, so repeated structure crossing a
@@ -348,23 +349,12 @@ class GenerationalSequitur:
     The sliding policy avoids this by re-inducing over the live tokens
     instead; see :mod:`repro.core.streaming`.
 
-    Each generation's builder comes from the kernel seam
-    (:func:`repro.grammar._kernel.make_builder`, any kernel): words are
-    interned internally (:meth:`feed`), or pre-interned ids arrive against
-    a caller-owned vocabulary (:meth:`feed_id`, the streaming layer's
-    path). Sealing a generation always frees the builder — only the frozen
-    :class:`Grammar` (plain word strings, no token-array references) and
-    its occurrence spans are retained, which :meth:`memory_bytes` makes
-    observable.
+    Grammar state is token ids and spans only: no word ever enters it, and
+    a sealed generation holds two small int arrays, never its builder's
+    arena — which :meth:`memory_bytes` makes observable.
     """
 
-    def __init__(
-        self,
-        generation_size: int,
-        *,
-        kernel: str | None = None,
-        vocabulary: Sequence[str] | None = None,
-    ) -> None:
+    def __init__(self, generation_size: int, *, kernel: str | None = None) -> None:
         generation_size = int(generation_size)
         if generation_size < 1:
             raise ValueError(f"generation_size must be positive, got {generation_size}")
@@ -374,33 +364,19 @@ class GenerationalSequitur:
         self.kernel = _kernel.current_kernel() if kernel is None else kernel
         if self.kernel not in _kernel.KERNELS:
             raise ValueError(f"unknown grammar kernel {self.kernel!r}")
-        #: Caller-owned vocabulary for :meth:`feed_id` (``vocabulary[id]`` is
-        #: the word of token id ``id``; it may keep growing between calls).
-        self._vocabulary = vocabulary
-        #: Internal interner backing :meth:`feed`.
-        self._own_vocabulary: list[str] = []
-        self._own_ids: dict[str, int] = {}
-        #: The id -> word map every generation builder and freeze reads.
-        self._words = self._own_vocabulary if vocabulary is None else vocabulary
-        #: Sealed generations: ``{generation_index: (grammar, token_count)}``.
-        self._sealed: dict[int, tuple[Grammar, int]] = {}
+        #: Sealed generations' token counts: ``{generation_index: count}``.
+        self._sealed: dict[int, int] = {}
         #: Sealed generations' occurrence spans, extracted once at seal time —
-        #: what makes decay polls amortized: a sealed grammar never changes,
-        #: so its spans never need re-walking.
-        self._sealed_spans: dict[int, tuple] = {}
+        #: what makes decay polls amortized: a sealed generation never
+        #: changes, so its spans never need re-reading.
+        self._sealed_spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._current_index: int | None = None
         self._current_builder = None
         self._current_count = 0
-        #: Snapshot caches of the (still growing) current generation.
-        self._current_frozen: tuple[int, Grammar] | None = None
+        #: Span cache of the (still growing) current generation.
         self._current_spans: tuple[int, tuple] | None = None
         self.retired_generations = 0
         self.retired_tokens = 0
-        #: Rules (excluding R0) dropped wholesale with their generation.
-        self.retired_rules = 0
-        #: Total rule references those retired rules had (each >= 2 by the
-        #: rule-utility invariant; see :meth:`Grammar.rule_refcounts`).
-        self.retired_rule_refs = 0
 
     @classmethod
     def replay(
@@ -409,20 +385,19 @@ class GenerationalSequitur:
         *,
         generation_size: int,
         kernel: str | None = None,
-        vocabulary: Sequence[str] | None = None,
     ) -> "GenerationalSequitur":
         """Rebuild generation-segmented grammar state from live tokens.
 
         The session-snapshot restore path: ``tokens`` is the live
-        ``(token_id, offset)`` stream (offsets non-decreasing, ids against
-        ``vocabulary``). Generation routing is a pure function of the
-        offsets (``offset // generation_size``) and each generation's
-        grammar a pure function of its token ids, so replaying the live
-        tokens reconstructs every live generation bitwise — sealed ones
-        re-seal at the same boundaries, and the newest keeps growing.
-        Retirement statistics are *not* live state and restart at zero.
+        ``(token_id, offset)`` stream (offsets non-decreasing). Generation
+        routing is a pure function of the offsets
+        (``offset // generation_size``) and each generation's grammar a pure
+        function of its token ids, so replaying the live tokens reconstructs
+        every live generation bitwise — sealed ones re-seal at the same
+        boundaries, and the newest keeps growing. Retirement statistics are
+        *not* live state and restart at zero.
         """
-        instance = cls(generation_size, kernel=kernel, vocabulary=vocabulary)
+        instance = cls(generation_size, kernel=kernel)
         pairs = np.asarray(list(tokens), dtype=np.int64).reshape(-1, 2)
         instance.feed_ids(pairs[:, 0], pairs[:, 1])
         return instance
@@ -431,24 +406,15 @@ class GenerationalSequitur:
         """Generation index owning the window offset ``offset``."""
         return int(offset) // self.generation_size
 
-    def _freeze_current(self) -> Grammar:
-        return self._current_builder.freeze(self._words)
-
     def _seal_current(self) -> None:
         if self._current_builder is None:
             return
-        # The frozen Grammar holds word strings only; dropping the builder
-        # here releases the generation's symbol arena and digram table —
-        # sealed generations must not pin retired token storage.
-        self._sealed[self._current_index] = (
-            self._freeze_current(),
-            self._current_count,
-        )
-        # Spans are two small int arrays per generation — kept so decay
-        # polls never re-walk a sealed grammar (see live_spans).
+        # Only the spans survive: dropping the builder releases the
+        # generation's symbol arena and digram table — sealed generations
+        # must not pin retired token storage.
+        self._sealed[self._current_index] = self._current_count
         self._sealed_spans[self._current_index] = self._current_builder.occurrence_spans()
         self._current_builder = None
-        self._current_frozen = None
         self._current_spans = None
         self._current_count = 0
 
@@ -463,44 +429,22 @@ class GenerationalSequitur:
             self._seal_current()
             self._current_index = index
         if self._current_builder is None:
-            self._current_builder = _kernel.make_builder(self.kernel, self._words)
+            self._current_builder = _kernel.make_builder(self.kernel)
 
-    def feed(self, word: str, offset: int) -> None:
-        """Route one token (with its window offset) to its generation.
+    def feed_id(self, token_id: int, offset: int) -> None:
+        """Route one token id (with its window offset) to its generation.
 
-        Offsets must be fed in increasing order — they are window start
+        Offsets must be fed in non-decreasing order — they are window start
         positions of a numerosity-reduced stream, which is naturally
         monotone.
         """
         self._route(offset)
-        token_id = self._own_ids.get(word)
-        if token_id is None:
-            token_id = len(self._own_vocabulary)
-            self._own_ids[word] = token_id
-            self._own_vocabulary.append(word)
         self._current_builder.feed(token_id)
         self._current_count += 1
-        self._current_frozen = None
-        self._current_spans = None
-
-    def feed_id(self, token_id: int, offset: int) -> None:
-        """Route one pre-interned token id to its generation.
-
-        Requires the ``vocabulary`` constructor argument (the caller's
-        interner owns the id space); the streaming layer uses this entry so
-        ids flow straight from the discretizer without materializing words
-        per token. Must not be mixed with :meth:`feed` on the same instance.
-        """
-        if self._vocabulary is None:
-            raise ValueError("feed_id requires a vocabulary at construction")
-        self._route(offset)
-        self._current_builder.feed(token_id)
-        self._current_count += 1
-        self._current_frozen = None
         self._current_spans = None
 
     def feed_ids(self, token_ids: Sequence[int], offsets: Sequence[int]) -> None:
-        """Route a block of pre-interned ids, one builder call per generation.
+        """Route a block of token ids, one builder call per generation.
 
         ``offsets[i]`` is the window offset of ``token_ids[i]``. The block is
         split where ``offset // generation_size`` changes and each run goes
@@ -509,8 +453,6 @@ class GenerationalSequitur:
         entry, which keeps per-token interpreter and call overhead out of
         the compiled kernel's path.
         """
-        if self._vocabulary is None:
-            raise ValueError("feed_ids requires a vocabulary at construction")
         token_ids = np.asarray(token_ids, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if token_ids.shape != offsets.shape or token_ids.ndim != 1:
@@ -520,7 +462,6 @@ class GenerationalSequitur:
             )
         if not len(token_ids):
             return
-        self._current_frozen = None
         self._current_spans = None
         cuts = np.flatnonzero(np.diff(offsets // self.generation_size)) + 1
         bounds = [0, *cuts.tolist(), len(token_ids)]
@@ -541,44 +482,23 @@ class GenerationalSequitur:
         for index in sorted(self._sealed):
             if (index + 1) * self.generation_size > boundary:
                 break
-            grammar, count = self._sealed.pop(index)
-            self._sealed_spans.pop(index, None)
+            self.retired_tokens += self._sealed.pop(index)
+            del self._sealed_spans[index]
             self.retired_generations += 1
-            self.retired_tokens += count
-            self.retired_rules += grammar.n_rules - 1
-            self.retired_rule_refs += sum(grammar.rule_refcounts())
             dropped += 1
         return dropped
 
-    def live_grammars(self) -> list[tuple[int, Grammar, int]]:
-        """``(generation_index, grammar, token_count)`` of every live generation.
-
-        Sealed generations return their cached frozen grammar; the current
-        generation is frozen on demand (cached until the next token).
-        Generations are returned oldest first.
-        """
-        live: list[tuple[int, Grammar, int]] = [
-            (index, grammar, count) for index, (grammar, count) in sorted(self._sealed.items())
-        ]
-        if self._current_builder is not None:
-            if self._current_frozen is None or self._current_frozen[0] != self._current_count:
-                self._current_frozen = (self._current_count, self._freeze_current())
-            live.append((self._current_index, self._current_frozen[1], self._current_count))
-        return live
-
-    def live_spans(self) -> list[tuple[int, "object", "object", int]]:
+    def live_spans(self) -> list[tuple[int, np.ndarray, np.ndarray, int]]:
         """``(index, firsts, lasts, count)`` of every live generation.
 
-        The span-level twin of :meth:`live_grammars`: sealed generations
-        return occurrence spans extracted once at seal time (their grammars
-        never change again), and only the growing generation reads its live
-        builder (cached until the next token) — the decay snapshot path
-        feeds these straight into the fused density scatter. Oldest
-        generation first, matching :meth:`live_grammars`.
+        Sealed generations return the occurrence spans extracted at seal
+        time; only the growing generation reads its live builder (cached
+        until the next token) — the decay snapshot path feeds these straight
+        into the fused density scatter. Oldest generation first.
         """
         live = [
-            (index, *self._sealed_spans[index], self._sealed[index][1])
-            for index in sorted(self._sealed)
+            (index, *self._sealed_spans[index], count)
+            for index, count in sorted(self._sealed.items())
         ]
         if self._current_builder is not None:
             if self._current_spans is None or self._current_spans[0] != self._current_count:
@@ -594,16 +514,13 @@ class GenerationalSequitur:
         """Estimate of bytes retained by live grammar state.
 
         The growing generation is charged its builder's own estimate;
-        sealed generations are charged only their frozen rules and spans.
-        The decay soak asserts this stays bounded as generations retire —
-        the accounting that catches a sealed generation accidentally
-        pinning its builder.
+        sealed generations are charged their spans. The decay soak asserts
+        this stays bounded as generations retire — the accounting that
+        catches a sealed generation accidentally pinning its builder.
         """
         total = 0
         if self._current_builder is not None:
             total += self._current_builder.memory_bytes()
-        for grammar, _count in self._sealed.values():
-            total += 64 * grammar.grammar_size()
         for firsts, lasts in self._sealed_spans.values():
             total += firsts.nbytes + lasts.nbytes
         return total
@@ -639,7 +556,7 @@ def induce_grammar(tokens: Iterable[str] | Sequence[str]) -> Grammar:
     # so every kernel returns the oracle's grammar.
     ids: dict[str, int] = {}
     vocabulary: list[str] = []
-    id_builder = _kernel.make_builder(None, vocabulary)
+    id_builder = _kernel.make_builder()
     feed = id_builder.feed
     fed = False
     for word in tokens:

@@ -95,12 +95,11 @@ class WordInterner:
 
     The packed path (:meth:`intern_packed`) defers even the string: a new
     code costs one dict insert at ingest, and its word is decoded only when
-    :attr:`vocabulary` is next read (a poll, a grammar freeze, a snapshot
-    export). The property materializes any pending words first, and the
-    underlying list object never changes identity, so callers that captured
-    the list at construction time (grammar builders, generation routers)
-    see the appended words — provided the property is read before they
-    index a freshly allocated id.
+    :attr:`vocabulary` is next read (a grammar freeze, a token listing, a
+    snapshot export). The property materializes any pending words first,
+    and the underlying list object never changes identity, so a caller
+    holding the list sees the appended words — provided the property is
+    read before it indexes a freshly allocated id.
 
     Two rows get the same id exactly when they are element-wise equal, so a
     grammar induced over ids is structurally identical to one induced over
@@ -127,16 +126,6 @@ class WordInterner:
 
     def __len__(self) -> int:
         return self._n_ids
-
-    def __getitem__(self, token_id: int) -> str:
-        """Word of ``token_id`` (materializes deferred words first).
-
-        Lets the interner itself stand in for its vocabulary wherever words
-        are looked up by id while interning continues — a word builder (see
-        :func:`repro.grammar._kernel.make_builder`) always sees every id
-        allocated so far.
-        """
-        return self.vocabulary[token_id]
 
     @property
     def vocabulary(self) -> list[str]:

@@ -29,6 +29,7 @@ import json
 import os
 import re
 import zipfile
+import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
 
@@ -76,7 +77,12 @@ def _restore(value, arrays: dict[int, np.ndarray]):
     """Inverse of :func:`_strip`: swap references back for their arrays."""
     if isinstance(value, dict):
         if set(value) == {_ARRAY_KEY}:
-            return arrays[int(value[_ARRAY_KEY])]
+            reference = value[_ARRAY_KEY]
+            if type(reference) is not int or reference not in arrays:
+                raise SnapshotVersionError(
+                    f"snapshot manifest references a missing array {reference!r}"
+                )
+            return arrays[reference]
         return {key: _restore(item, arrays) for key, item in value.items()}
     if isinstance(value, list):
         return [_restore(item, arrays) for item in value]
@@ -102,19 +108,23 @@ def encode_snapshot(state: dict) -> bytes:
 def decode_snapshot(data: bytes) -> dict:
     """Parse a container produced by :func:`encode_snapshot`.
 
-    Raises :class:`~repro.core.streaming.SnapshotVersionError` on a
-    malformed or version-skewed container — corrupt or future snapshots are
-    rejected loudly, never partially restored.
+    Raises :class:`~repro.core.streaming.SnapshotVersionError`, and only
+    that, on a malformed or version-skewed container — corrupt or future
+    snapshots are rejected loudly, never partially restored.
     """
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as archive:
             manifest = json.loads(archive.read(_MANIFEST_NAME))
+            if not isinstance(manifest, dict):
+                raise SnapshotVersionError("snapshot manifest is not an object")
             version = manifest.get("container_version")
             if version != CONTAINER_VERSION:
                 raise SnapshotVersionError(
                     f"snapshot container version {version!r} is not supported "
                     f"by this build (supports {CONTAINER_VERSION})"
                 )
+            if not isinstance(manifest.get("state"), dict):
+                raise SnapshotVersionError("snapshot manifest holds no 'state' object")
             arrays = {
                 int(name[len("arrays/") : -len(".npy")]): np.load(
                     io.BytesIO(archive.read(name)), allow_pickle=False
@@ -122,11 +132,24 @@ def decode_snapshot(data: bytes) -> dict:
                 for name in archive.namelist()
                 if name.startswith("arrays/") and name.endswith(".npy")
             }
+            return _restore(manifest["state"], arrays)
     except SnapshotVersionError:
         raise
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, ValueError) as error:
+    except (
+        zipfile.BadZipFile,
+        zlib.error,
+        EOFError,
+        KeyError,
+        ValueError,
+        OSError,
+        NotImplementedError,
+        RuntimeError,
+    ) as error:
+        # Truncation and bit flips surface from zipfile, zlib and np.load
+        # as any of these: an encrypted-flag flip is a RuntimeError, a
+        # compression-method flip NotImplementedError, deep nesting a
+        # RecursionError (also a RuntimeError).
         raise SnapshotVersionError(f"not a readable snapshot container: {error}") from error
-    return _restore(manifest["state"], arrays)
 
 
 class SnapshotStore(ABC):

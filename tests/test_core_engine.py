@@ -15,6 +15,7 @@ from repro.core.engine import (
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.sax.paa import CumulativeStats
+from repro.sax.plan import DiscretizationPlan
 
 
 @pytest.fixture
@@ -23,6 +24,12 @@ def batch_series(rng) -> np.ndarray:
     series += 0.05 * rng.standard_normal(2000)
     series[900:1000] = np.sin(np.linspace(0, 12 * np.pi, 100))
     return series
+
+
+def _paa_rows(state, first_start, window, paa_size, *, stop=None):
+    """PAA rows of ``state`` through a one-member discretization sweep."""
+    plan = DiscretizationPlan(window, [(paa_size, 4)])
+    return state.sweep(plan, first_start, stop=stop).paa_rows(paa_size)
 
 
 class TestSharedStreamState:
@@ -55,9 +62,9 @@ class TestSharedStreamState:
         stats = CumulativeStats(values)
         for window, paa_size in [(50, 4), (10, 3), (60, 7)]:
             expected = stats.sliding_paa_matrix(window, paa_size)
-            assert np.array_equal(state.paa_rows(0, window, paa_size), expected)
+            assert np.array_equal(_paa_rows(state, 0, window, paa_size), expected)
             # Partial reads tile the full matrix.
-            assert np.array_equal(state.paa_rows(100, window, paa_size), expected[100:])
+            assert np.array_equal(_paa_rows(state, 100, window, paa_size), expected[100:])
 
     def test_n_windows(self):
         state = SharedStreamState()
@@ -87,18 +94,18 @@ class TestSharedStreamState:
         state = SharedStreamState()
         state.extend(np.arange(20.0))
         with pytest.raises(ValueError, match="first_start"):
-            state.paa_rows(50, 10, 2)
+            _paa_rows(state, 50, 10, 2)
 
     def test_paa_rows_validates_window_and_paa_size(self):
         """Same guards as the batch entry point (sliding_paa_matrix)."""
         state = SharedStreamState()
         state.extend(np.arange(100.0))
         with pytest.raises(ValueError, match="exceeds"):
-            state.paa_rows(0, 10, 20)  # paa_size > window
+            _paa_rows(state, 0, 10, 20)  # paa_size > window
         with pytest.raises(ValueError, match="exceeds"):
-            state.paa_rows(0, 200, 4)  # window > stream length
+            _paa_rows(state, 0, 200, 4)  # window > stream length
         with pytest.raises(ValueError, match="at least 2"):
-            state.paa_rows(0, 0, 4)
+            _paa_rows(state, 0, 1, 1)  # window < 2
 
 
 class TestCapacityBoundaries:
@@ -173,7 +180,7 @@ class TestPaaRowsWindowCountEdges:
         state = SharedStreamState()
         state.extend(np.arange(30.0) % 7)
         stop = state.n_windows(10)
-        rows = state.paa_rows(stop, 10, 5)
+        rows = _paa_rows(state, stop, 10, 5)
         assert rows.shape == (0, 5)
         assert rows.dtype == np.float64
 
@@ -182,8 +189,8 @@ class TestPaaRowsWindowCountEdges:
         state = SharedStreamState()
         state.extend(np.arange(10.0))
         assert state.n_windows(10) == 1
-        assert state.paa_rows(0, 10, 5).shape == (1, 5)
-        assert state.paa_rows(1, 10, 5).shape == (0, 5)
+        assert _paa_rows(state, 0, 10, 5).shape == (1, 5)
+        assert _paa_rows(state, 1, 10, 5).shape == (0, 5)
 
     def test_zero_completed_windows_raises_cleanly(self):
         """window > stream length means zero windows: a clear error, not junk."""
@@ -191,7 +198,7 @@ class TestPaaRowsWindowCountEdges:
         state.extend(np.arange(9.0))
         assert state.n_windows(10) == 0
         with pytest.raises(ValueError, match="exceeds"):
-            state.paa_rows(0, 10, 4)
+            _paa_rows(state, 0, 10, 4)
 
 
 class TestSharedMemoryLayout:

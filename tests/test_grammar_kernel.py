@@ -170,9 +170,13 @@ class TestKernelSeam:
             assert _kernel.current_kernel() == "python"
         assert _kernel.current_kernel() == before
 
-    def test_python_builder_requires_vocabulary(self):
-        with pytest.raises(ValueError, match="vocabulary"):
-            _kernel.make_builder("python")
+    def test_python_builder_takes_no_vocabulary(self):
+        """Every kernel is id-fed: ``make_builder()`` alone serves the oracle."""
+        assert isinstance(_kernel.make_builder("python"), _kernel.OracleSequitur)
+        with _kernel.use_kernel("python"):
+            builder = _kernel.make_builder()
+        builder.feed_many([0, 1, 0, 1])
+        assert _spans(builder) == ([0, 2], [1, 3])
 
     def test_make_builder_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown grammar kernel"):
@@ -204,7 +208,7 @@ class TestPythonIdBuilderEquivalence:
 
     @given(stream=token_streams)
     def test_spans_equal_fast(self, stream):
-        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle = _kernel.make_builder("python")
         oracle.feed_many(stream)
         fast = FastSequitur()
         fast.feed_many(stream)
@@ -214,7 +218,7 @@ class TestPythonIdBuilderEquivalence:
     @given(stream=token_streams, split=st.integers(min_value=0, max_value=200))
     def test_incremental_feeding_spans_equal_fast(self, stream, split):
         split = min(split, len(stream))
-        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle = _kernel.make_builder("python")
         oracle.feed_many(stream[:split])
         for token in stream[split:]:
             oracle.feed(token)
@@ -224,64 +228,51 @@ class TestPythonIdBuilderEquivalence:
 
     @pytest.mark.parametrize("stream", FIXED_STREAMS, ids=repr)
     def test_fixed_regressions(self, stream):
-        oracle = _kernel.make_builder("python", _vocabulary(stream))
+        oracle = _kernel.make_builder("python")
         oracle.feed_many(np.asarray(stream, dtype=np.int64))
         fast = FastSequitur()
         fast.feed_many(stream)
         assert _spans(oracle) == _spans(fast)
         _assert_matches_oracle(oracle, stream)
 
-    def test_vocabulary_is_read_at_feed_time(self):
-        """A vocabulary that grows between feeds (an interner's) is honoured."""
-        vocabulary: list[str] = []
-        oracle = _kernel.make_builder("python", vocabulary)
+    def test_freeze_maps_terminals_to_words(self):
+        """Words enter only at freeze; ids equal to rule serials stay terminals."""
+        oracle = _kernel.make_builder("python")
         for token in [0, 1, 0, 1, 2, 0, 1]:
-            while len(vocabulary) <= token:
-                vocabulary.append(f"w{len(vocabulary)}")
             oracle.feed(token)
-        assert oracle.freeze().rules[0].rhs == (1, 1, "w2", 1)
+        assert oracle.freeze(["w0", "w1", "w2"]).rules[0].rhs == (1, 1, "w2", 1)
 
 
 class TestGenerationalSequiturKernels:
-    def test_feed_id_requires_vocabulary(self):
-        forgetter = GenerationalSequitur(4, kernel="fast")
-        with pytest.raises(ValueError, match="vocabulary"):
-            forgetter.feed_id(0, 0)
-
     @given(stream=token_streams)
     def test_python_kernel_live_spans_equal_fast(self, stream):
-        vocabulary = _vocabulary(stream)
-        oracle = GenerationalSequitur(8, kernel="python", vocabulary=vocabulary)
-        fast = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
+        oracle = GenerationalSequitur(8, kernel="python")
+        fast = GenerationalSequitur(8, kernel="fast")
         for offset, token in enumerate(stream):
             oracle.feed_id(token, offset)
             fast.feed_id(token, offset)
         assert _listed_live_spans(oracle) == _listed_live_spans(fast)
 
     @given(stream=token_streams)
-    def test_feed_id_matches_python_feed(self, stream):
-        vocabulary = _vocabulary(stream)
+    def test_feed_id_matches_python_feed_ids(self, stream):
         reference = GenerationalSequitur(8, kernel="python")
-        fast = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
+        reference.feed_ids(stream, np.arange(len(stream)))
+        fast = GenerationalSequitur(8, kernel="fast")
         for offset, token in enumerate(stream):
-            reference.feed(vocabulary[token], offset)
             fast.feed_id(token, offset)
-        expected = reference.live_grammars()
-        actual = fast.live_grammars()
-        assert [(i, g, c) for i, g, c in actual] == [(i, g, c) for i, g, c in expected]
+        assert _listed_live_spans(fast) == _listed_live_spans(reference)
 
     @given(stream=token_streams)
-    def test_live_spans_match_live_grammars(self, stream):
-        vocabulary = _vocabulary(stream)
-        forgetter = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
-        for offset, token in enumerate(stream):
-            forgetter.feed_id(token, offset)
-        grammars = {i: g for i, g, _ in forgetter.live_grammars()}
+    def test_live_spans_match_per_generation_oracle(self, stream):
+        """Each generation's spans are the oracle grammar's over its tokens."""
+        forgetter = GenerationalSequitur(8, kernel="fast")
+        forgetter.feed_ids(stream, np.arange(len(stream)))
         for index, firsts, lasts, count in forgetter.live_spans():
+            grammar = _oracle(stream[8 * index : 8 * index + 8]).freeze()
             spans = sorted(zip(firsts.tolist(), lasts.tolist()))
-            expected = sorted(zip(*(a.tolist() for a in grammars[index].occurrence_spans())))
+            expected = sorted(zip(*(a.tolist() for a in grammar.occurrence_spans())))
             assert spans == expected
-            assert count == grammars[index].expanded_lengths()[0]
+            assert count == grammar.expanded_lengths()[0]
 
     @pytest.mark.parametrize("kernel", _kernel.KERNELS)
     @given(
@@ -293,26 +284,21 @@ class TestGenerationalSequiturKernels:
     def test_feed_ids_equals_per_token_feed_id(self, kernel, stream, gaps, cuts, generation_size):
         """Blocks cut at random points straddle generation boundaries; the
         batched feed must seal the same generations with the same spans."""
-        vocabulary = _vocabulary(stream)
         offsets = np.cumsum(gaps[: len(stream)]).astype(np.int64)
         ids = np.asarray(stream, dtype=np.int64)
-        per_token = GenerationalSequitur(generation_size, kernel=kernel, vocabulary=vocabulary)
+        per_token = GenerationalSequitur(generation_size, kernel=kernel)
         for token_id, offset in zip(stream, offsets.tolist()):
             per_token.feed_id(token_id, offset)
-        batched = GenerationalSequitur(generation_size, kernel=kernel, vocabulary=vocabulary)
+        batched = GenerationalSequitur(generation_size, kernel=kernel)
         bounds = sorted({0, len(stream), *(min(cut, len(stream)) for cut in cuts)})
         for start, stop in zip(bounds, bounds[1:]):
             batched.feed_ids(ids[start:stop], offsets[start:stop])
         assert _listed_live_spans(batched) == _listed_live_spans(per_token)
         assert sorted(batched._sealed) == sorted(per_token._sealed)
-        assert batched.live_grammars() == per_token.live_grammars()
         assert batched._current_index == per_token._current_index
 
     def test_feed_ids_validates_its_block(self):
         forgetter = GenerationalSequitur(4, kernel="fast")
-        with pytest.raises(ValueError, match="vocabulary"):
-            forgetter.feed_ids([0], [0])
-        forgetter = GenerationalSequitur(4, kernel="fast", vocabulary=["a", "b"])
         with pytest.raises(ValueError, match="equal-length"):
             forgetter.feed_ids([0, 1], [0])
         forgetter.feed_ids([], [])
@@ -326,8 +312,7 @@ class TestGenerationalSequiturKernels:
         pin retired token storage — memory accounting stays bounded as
         generations retire, instead of accumulating one arena per seal."""
         rng = np.random.default_rng(7)
-        vocabulary = [f"w{i}" for i in range(16)]
-        forgetter = GenerationalSequitur(64, kernel="fast", vocabulary=vocabulary)
+        forgetter = GenerationalSequitur(64, kernel="fast")
         readings = []
         for offset in range(6400):
             forgetter.feed_id(int(rng.integers(0, 16)), offset)
@@ -339,8 +324,8 @@ class TestGenerationalSequiturKernels:
         # Live state is ~4 generations throughout: the estimate must plateau,
         # not grow with the number of seals (100 generations were sealed).
         assert max(readings[50:]) <= 2 * max(readings[:50])
-        # And every *sealed* generation has dropped its builder: only spans,
-        # counts and frozen rules remain.
+        # And every *sealed* generation has dropped its builder: only spans
+        # and counts remain.
         assert set(forgetter._sealed) == set(forgetter._sealed_spans)
 
 

@@ -13,9 +13,15 @@ or state — is rejected loudly, never half-restored.
 from __future__ import annotations
 
 import argparse
+import io
+import json
+import zipfile
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.service.snapshot as snapshot_mod
 from repro.core.ensemble import EnsembleGrammarDetector
@@ -214,6 +220,93 @@ class TestVersioning:
         np.testing.assert_array_equal(decoded["nested"]["inner"], state["nested"]["inner"])
         assert decoded["nested"]["scalar"] == 2.5
         assert decoded["plain"] == [1, "two", None]
+
+
+@lru_cache(maxsize=None)
+def _valid_container() -> bytes:
+    detector = build({"capacity": 300, "policy": "decay", "segments": 3})
+    detector.extend(make_feed(n=400))
+    return encode_snapshot(detector.snapshot())
+
+
+def _with_manifest(manifest) -> bytes:
+    """The valid container with its manifest replaced by ``manifest``."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(_valid_container())) as source, zipfile.ZipFile(
+        buffer, "w", compression=zipfile.ZIP_DEFLATED
+    ) as target:
+        for name in source.namelist():
+            data = source.read(name)
+            if name == "manifest.json":
+                data = json.dumps(manifest).encode()
+            target.writestr(name, data)
+    return buffer.getvalue()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["state", "container_version", "__ndarray__", "config", "x"]),
+        children,
+        max_size=3,
+    ),
+    max_leaves=10,
+)
+
+_manifests = st.one_of(
+    _json_values,
+    st.fixed_dictionaries({"container_version": st.just(1) | _json_values}),
+    st.fixed_dictionaries({"container_version": st.just(1), "state": _json_values}),
+    st.fixed_dictionaries(
+        {
+            "container_version": st.just(1),
+            "state": st.fixed_dictionaries(
+                {"ids": st.fixed_dictionaries({"__ndarray__": _json_values | st.integers()})}
+            ),
+        }
+    ),
+)
+
+
+def _decodes_or_rejects(data: bytes) -> None:
+    """The fuzz property: a dict comes back, or SnapshotVersionError — only."""
+    try:
+        state = decode_snapshot(data)
+    except SnapshotVersionError:
+        return
+    assert isinstance(state, dict)
+
+
+class TestSnapshotFuzz:
+    """Untrusted containers can only produce typed errors."""
+
+    def test_list_manifest_and_missing_state_are_typed(self):
+        with pytest.raises(SnapshotVersionError, match="manifest"):
+            decode_snapshot(_with_manifest([1, 2]))
+        with pytest.raises(SnapshotVersionError, match="state"):
+            decode_snapshot(_with_manifest({"container_version": 1}))
+        with pytest.raises(SnapshotVersionError, match="array"):
+            decode_snapshot(
+                _with_manifest({"container_version": 1, "state": {"a": {"__ndarray__": 99}}})
+            )
+
+    @given(cut=st.integers(min_value=0))
+    def test_truncation(self, cut):
+        data = _valid_container()
+        _decodes_or_rejects(data[: cut % len(data)])
+
+    @given(bits=st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+    def test_bit_flips(self, bits):
+        data = bytearray(_valid_container())
+        for bit in bits:
+            bit %= 8 * len(data)
+            data[bit // 8] ^= 1 << (bit % 8)
+        _decodes_or_rejects(bytes(data))
+
+    @given(manifest=_manifests)
+    def test_manifest_mutations(self, manifest):
+        _decodes_or_rejects(_with_manifest(manifest))
 
 
 class TestLocalSnapshotStore:
